@@ -4,7 +4,7 @@ GO ?= go
 # globally. Offline environments fall back to go vet with a warning.
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 
-.PHONY: all build vet test race bench bench-smoke bench-gate capacity-smoke capacity-gate chaos lint cover ci clean
+.PHONY: all build vet test race bench bench-smoke bench-gate capacity-smoke capacity-gate chaos lint cover stackbench-check ci clean
 
 all: build
 
@@ -84,7 +84,13 @@ chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -v -run 'TestChaosStorm|TestClusterChaosStorm' -count=1 . ./internal/cluster \
 		|| { echo "chaos storm FAILED — replay with CHAOS_SEED=<seed from log above> make chaos"; exit 1; }
 
-ci: vet lint build test race bench-smoke capacity-smoke chaos
+# The repository benchmark (stackbench/) is its own Go module, so the
+# ./... targets above never reach it: vet and self-test it here, so a change
+# to a public name it reads fails CI rather than the next benchmark run.
+stackbench-check:
+	cd stackbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet lint build test race bench-smoke capacity-smoke chaos stackbench-check
 
 clean:
 	$(GO) clean ./...

@@ -519,7 +519,7 @@ func BenchmarkChannelEnvelope(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.EncodeRequest(cmd); err != nil {
+		if _, _, err := codec.EncodeRequest(nil, cmd); err != nil {
 			b.Fatal(err)
 		}
 	}

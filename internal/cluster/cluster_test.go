@@ -11,10 +11,13 @@ import (
 	"time"
 
 	"xvtpm"
+	"xvtpm/internal/core"
 	"xvtpm/internal/faults"
 	"xvtpm/internal/metrics"
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
+	"xvtpm/internal/xen"
+	"xvtpm/internal/xenstore"
 )
 
 // testCluster boots a small deterministic improved-mode federation.
@@ -497,3 +500,103 @@ func TestClusterMetricsRegistry(t *testing.T) {
 type countingWriter struct{ n int }
 
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// xsNodeCount counts the nodes of a member's XenStore tree below path.
+func xsNodeCount(t *testing.T, m *Member, path string) int {
+	t.Helper()
+	kids, err := m.Host.XS.List(xen.Dom0, xenstore.NoTxn, path)
+	if err != nil {
+		t.Fatalf("List %s: %v", path, err)
+	}
+	n := 1
+	for _, k := range kids {
+		child := path + "/" + k
+		if path == "/" {
+			child = "/" + k
+		}
+		n += xsNodeCount(t, m, child)
+	}
+	return n
+}
+
+// pingPong makes n moves through a two-member cluster, each taking the next
+// key (round robin) to the member that does not hold it.
+func pingPong(t *testing.T, c *Cluster, keys []string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		key := keys[i%len(keys)]
+		owner, _, err := c.Owner(key)
+		if err != nil {
+			t.Fatalf("Owner %s: %v", key, err)
+		}
+		dst := "h0"
+		if owner == "h0" {
+			dst = "h1"
+		}
+		if err := c.Migrate(key, dst); err != nil {
+			t.Fatalf("move %d of %s to %s: %v", i, key, dst, err)
+		}
+	}
+}
+
+// assertDefaultRulesOnly checks that every member's policy holds exactly the
+// eight default rules per live guest — none left behind by departed
+// instances and no second copy for re-attached ones.
+func assertDefaultRulesOnly(t *testing.T, c *Cluster, tag string) {
+	t.Helper()
+	per := len(core.DefaultGuestPolicy(xen.LaunchDigest{}, 1))
+	for _, m := range c.Members() {
+		ig, _ := m.Host.ImprovedGuard()
+		if got, want := ig.Policy().Len(), per*len(m.Host.Guests()); got != want {
+			t.Errorf("%s: %s holds %d rules for %d guests, want %d", tag, m.Name, got, len(m.Host.Guests()), want)
+		}
+	}
+}
+
+func TestClusterMovesDropDepartedPolicyRules(t *testing.T) {
+	c := testCluster(t, 2)
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		mkGuest(t, c, k)
+	}
+	assertDefaultRulesOnly(t, c, "before moves")
+	pingPong(t, c, keys, 40)
+	assertDefaultRulesOnly(t, c, "after 40 moves")
+}
+
+func TestClusterRolledBackMovesKeepOnePolicyCopy(t *testing.T) {
+	inj := faults.NewInjector(1)
+	inj.SetPolicy(faults.OpTransfer, faults.Policy{PermanentRate: 1})
+	c := testCluster(t, 2, func(cfg *Config) { cfg.Injector = inj })
+	mkGuest(t, c, "web")
+	for i := 0; i < 10; i++ {
+		if err := c.Migrate("web", "h1"); err == nil {
+			t.Fatal("move succeeded through a permanently failing transfer")
+		}
+	}
+	assertDefaultRulesOnly(t, c, "after 10 rolled-back moves")
+}
+
+func TestClusterMovesLeaveNoXenstoreResidue(t *testing.T) {
+	c := testCluster(t, 2)
+	keys := []string{"a", "b", "c", "d"}
+	for i, k := range keys {
+		if _, err := c.CreateGuestOn(fmt.Sprintf("h%d", i%2), xvtpm.GuestConfig{
+			Name: k, Kernel: []byte("kernel-" + k), Pages: 16,
+		}); err != nil {
+			t.Fatalf("CreateGuestOn: %v", err)
+		}
+	}
+	nodes := func() int {
+		n := 0
+		for _, m := range c.Members() {
+			n += xsNodeCount(t, m, "/")
+		}
+		return n
+	}
+	before := nodes()
+	pingPong(t, c, keys, 40)
+	if after := nodes(); after != before {
+		t.Fatalf("xenstore nodes for %d live guests grew from %d to %d across 40 moves", len(keys), before, after)
+	}
+}

@@ -41,13 +41,7 @@ func (*BaselineGuard) EncoderFor(inst vtpm.InstanceInfo) (vtpm.GuestCodec, error
 
 // ProtectState implements vtpm.Guard: plaintext, as the stock manager
 // persisted it.
-func (*BaselineGuard) ProtectState(inst vtpm.InstanceInfo, state []byte) ([]byte, error) {
-	return append([]byte(nil), state...), nil
-}
-
-// ProtectStateAppend implements vtpm.StateProtectorAppend: still plaintext,
-// just built into the caller's buffer.
-func (*BaselineGuard) ProtectStateAppend(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
+func (*BaselineGuard) ProtectState(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
 	return append(dst, state...), nil
 }
 

@@ -17,7 +17,7 @@ func BenchmarkChannelSealOpen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payload, err := codec.EncodeRequest(cmd)
+		payload, reqSeq, err := codec.EncodeRequest(nil, cmd)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func BenchmarkChannelSealOpen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := codec.DecodeResponse(sealed); err != nil {
+		if _, err := codec.DecodeResponse(nil, sealed, reqSeq); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkGuardAdmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payload, err := codec.EncodeRequest(cmd)
+		payload, reqSeq, err := codec.EncodeRequest(nil, cmd)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkGuardAdmit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := codec.DecodeResponse(sealed); err != nil {
+		if _, err := codec.DecodeResponse(nil, sealed, reqSeq); err != nil {
 			b.Fatal(err)
 		}
 	}

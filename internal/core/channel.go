@@ -211,7 +211,6 @@ type guestCodec struct {
 
 	mu      sync.Mutex
 	nextSeq uint64
-	lastSeq uint64 // sequence of the request awaiting its response
 }
 
 // NewGuestCodec builds the frontend codec for a channel key. Exported for
@@ -220,58 +219,20 @@ func NewGuestCodec(key ChannelKey) vtpm.GuestCodec {
 	return &guestCodec{key: key, nextSeq: 1}
 }
 
-// EncodeRequest implements vtpm.GuestCodec.
-func (g *guestCodec) EncodeRequest(cmd []byte) ([]byte, error) {
-	return g.EncodeRequestAppend(nil, cmd)
-}
-
-// EncodeRequestAppend implements vtpm.AppendRequestEncoder: the envelope is
-// appended to dst, so the frontend reuses one transmit buffer per device.
-func (g *guestCodec) EncodeRequestAppend(dst, cmd []byte) ([]byte, error) {
+// EncodeRequest implements vtpm.GuestCodec: the envelope is appended to dst
+// under the next sequence number, which is returned with it.
+func (g *guestCodec) EncodeRequest(dst, cmd []byte) ([]byte, uint64, error) {
 	g.mu.Lock()
 	seq := g.nextSeq
 	g.nextSeq++
-	g.lastSeq = seq
-	g.mu.Unlock()
-	return sealEnvelopeAppend(&g.crypto, g.key, dst, chanDirRequest, seq, cmd), nil
-}
-
-// DecodeResponse implements vtpm.GuestCodec: the response must carry the
-// sequence number of the request just sent.
-func (g *guestCodec) DecodeResponse(payload []byte) ([]byte, error) {
-	g.mu.Lock()
-	want := g.lastSeq
-	g.mu.Unlock()
-	return g.DecodeResponseAppendSeq(nil, payload, want)
-}
-
-// DecodeResponseAppend implements vtpm.AppendResponseDecoder: DecodeResponse
-// with the plaintext appended to dst, for frontends that reuse one decode
-// buffer per device.
-func (g *guestCodec) DecodeResponseAppend(dst, payload []byte) ([]byte, error) {
-	g.mu.Lock()
-	want := g.lastSeq
-	g.mu.Unlock()
-	return g.DecodeResponseAppendSeq(dst, payload, want)
-}
-
-// EncodeRequestAppendSeq implements vtpm.SeqCodec: EncodeRequestAppend also
-// returning the envelope's sequence number, which a pipelined frontend stores
-// per in-flight slot to match out-of-order completions.
-func (g *guestCodec) EncodeRequestAppendSeq(dst, cmd []byte) ([]byte, uint64, error) {
-	g.mu.Lock()
-	seq := g.nextSeq
-	g.nextSeq++
-	g.lastSeq = seq
 	g.mu.Unlock()
 	return sealEnvelopeAppend(&g.crypto, g.key, dst, chanDirRequest, seq, cmd), seq, nil
 }
 
-// DecodeResponseAppendSeq implements vtpm.SeqCodec: the response must carry
-// exactly the given sequence number (instead of the last one issued, which is
-// meaningless once several requests are in flight). The plaintext is appended
-// to dst and the extended dst returned.
-func (g *guestCodec) DecodeResponseAppendSeq(dst, payload []byte, want uint64) ([]byte, error) {
+// DecodeResponse implements vtpm.GuestCodec: the response must carry exactly
+// the sequence number of the request it answers, and its plaintext is
+// appended to dst.
+func (g *guestCodec) DecodeResponse(dst, payload []byte, want uint64) ([]byte, error) {
 	dir, seq, out, err := openEnvelopeAppend(&g.crypto, g.key, dst, payload)
 	if err != nil {
 		return nil, err

@@ -173,7 +173,7 @@ func TestChannelRoundTrip(t *testing.T) {
 	codec := NewGuestCodec(key)
 	srv := &serverChannel{key: key}
 	cmd := sampleCmd()
-	payload, err := codec.EncodeRequest(cmd)
+	payload, reqSeq, err := codec.EncodeRequest(nil, cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestChannelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := codec.DecodeResponse(sealed)
+	back, err := codec.DecodeResponse(nil, sealed, reqSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestChannelRejectsWrongKey(t *testing.T) {
 	copy(k2[:], deriveBytes([]byte("b"), "k"))
 	codec := NewGuestCodec(k1)
 	srv := &serverChannel{key: k2}
-	payload, _ := codec.EncodeRequest(sampleCmd())
+	payload, _, _ := codec.EncodeRequest(nil, sampleCmd())
 	if _, _, err := srv.open(payload); !errors.Is(err, vtpm.ErrBadChannel) {
 		t.Fatalf("err = %v", err)
 	}
@@ -218,7 +218,7 @@ func TestChannelRejectsReplay(t *testing.T) {
 	copy(key[:], deriveBytes([]byte("k"), "t"))
 	codec := NewGuestCodec(key)
 	srv := &serverChannel{key: key}
-	payload, _ := codec.EncodeRequest(sampleCmd())
+	payload, _, _ := codec.EncodeRequest(nil, sampleCmd())
 	if _, _, err := srv.open(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestChannelRejectsTamper(t *testing.T) {
 	copy(key[:], deriveBytes([]byte("k"), "t"))
 	codec := NewGuestCodec(key)
 	srv := &serverChannel{key: key}
-	payload, _ := codec.EncodeRequest(sampleCmd())
+	payload, _, _ := codec.EncodeRequest(nil, sampleCmd())
 	payload[len(payload)/2] ^= 0x01
 	if _, _, err := srv.open(payload); !errors.Is(err, vtpm.ErrBadChannel) {
 		t.Fatalf("tamper err = %v", err)
@@ -255,15 +255,15 @@ func TestChannelResponseSeqBinding(t *testing.T) {
 	copy(key[:], deriveBytes([]byte("k"), "t"))
 	codec := NewGuestCodec(key)
 	srv := &serverChannel{key: key}
-	p1, _ := codec.EncodeRequest(sampleCmd())
+	p1, _, _ := codec.EncodeRequest(nil, sampleCmd())
 	_, seq1, _ := srv.open(p1)
-	p2, _ := codec.EncodeRequest(sampleCmd())
+	p2, seq2, _ := codec.EncodeRequest(nil, sampleCmd())
 	if _, _, err := srv.open(p2); err != nil {
 		t.Fatal(err)
 	}
 	// Response for the stale seq must not decode as the current response.
 	stale, _ := srv.seal([]byte("old"), seq1)
-	if _, err := codec.DecodeResponse(stale); err == nil {
+	if _, err := codec.DecodeResponse(nil, stale, seq2); err == nil {
 		t.Fatal("stale response accepted")
 	}
 }
@@ -274,7 +274,7 @@ func TestChannelPropertyRoundTrip(t *testing.T) {
 	codec := NewGuestCodec(key)
 	srv := &serverChannel{key: key}
 	f := func(msg []byte) bool {
-		p, err := codec.EncodeRequest(msg)
+		p, reqSeq, err := codec.EncodeRequest(nil, msg)
 		if err != nil {
 			return false
 		}
@@ -286,7 +286,7 @@ func TestChannelPropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := codec.DecodeResponse(sealed)
+		back, err := codec.DecodeResponse(nil, sealed, reqSeq)
 		return err == nil && bytes.Equal(back, msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -407,7 +407,7 @@ func TestImprovedAdmitHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _ := codec.EncodeRequest(sampleCmd())
+	payload, reqSeq, _ := codec.EncodeRequest(nil, sampleCmd())
 	cmd, finish, err := g.AdmitCommand(inst, inst.BoundDom, inst.BoundLaunch, payload)
 	if err != nil {
 		t.Fatalf("AdmitCommand: %v", err)
@@ -419,7 +419,7 @@ func TestImprovedAdmitHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := codec.DecodeResponse(sealed)
+	back, err := codec.DecodeResponse(nil, sealed, reqSeq)
 	if err != nil || string(back) != "resp" {
 		t.Fatalf("response: %v %q", err, back)
 	}
@@ -440,7 +440,7 @@ func TestImprovedRejectsSpoofedPayload(t *testing.T) {
 	// Even with a self-made codec under a guessed key.
 	var wrong ChannelKey
 	badCodec := NewGuestCodec(wrong)
-	payload, _ := badCodec.EncodeRequest(sampleCmd())
+	payload, _, _ := badCodec.EncodeRequest(nil, sampleCmd())
 	if _, _, err := g.AdmitCommand(inst, inst.BoundDom, inst.BoundLaunch, payload); !errors.Is(err, vtpm.ErrBadChannel) {
 		t.Fatalf("wrong-key err = %v", err)
 	}
@@ -452,7 +452,7 @@ func TestImprovedPolicyDenies(t *testing.T) {
 	// Allow only PCR group.
 	g.Policy().Append(Rule{Identity: inst.BoundLaunch, Instance: inst.ID, Group: GroupPCR, Effect: Allow})
 	codec, _ := g.EncoderFor(inst)
-	payload, _ := codec.EncodeRequest(sampleCmd()) // GetRandom: not PCR group
+	payload, _, _ := codec.EncodeRequest(nil, sampleCmd()) // GetRandom: not PCR group
 	if _, _, err := g.AdmitCommand(inst, inst.BoundDom, inst.BoundLaunch, payload); !errors.Is(err, vtpm.ErrDenied) {
 		t.Fatalf("err = %v", err)
 	}
@@ -469,7 +469,7 @@ func TestImprovedStateEnvelopeBinding(t *testing.T) {
 	g, _ := newImproved(t, "i4")
 	inst := testInstance(3, "guest")
 	state := []byte("vtpm-state-bytes-including-EK")
-	blob, err := g.ProtectState(inst, state)
+	blob, err := g.ProtectState(inst, nil, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestBaselineStatePlaintext(t *testing.T) {
 	g := NewBaselineGuard()
 	inst := testInstance(1, "g")
 	state := []byte("plaintext state")
-	blob, _ := g.ProtectState(inst, state)
+	blob, _ := g.ProtectState(inst, nil, state)
 	if !bytes.Equal(blob, state) {
 		t.Fatal("baseline transformed state")
 	}

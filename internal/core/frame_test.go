@@ -18,7 +18,7 @@ func TestServerChannelRejectsMalformedFrames(t *testing.T) {
 	var key ChannelKey
 	copy(key[:], deriveBytes([]byte("frames"), "chan"))
 	codec := NewGuestCodec(key)
-	valid, err := codec.EncodeRequest(sampleCmd())
+	valid, _, err := codec.EncodeRequest(nil, sampleCmd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAdmitCommandRejectsTruncatedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, err := codec.EncodeRequest(sampleCmd())
+	valid, _, err := codec.EncodeRequest(nil, sampleCmd())
 	if err != nil {
 		t.Fatal(err)
 	}

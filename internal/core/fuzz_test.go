@@ -14,7 +14,7 @@ func FuzzChannelOpen(f *testing.F) {
 	var key ChannelKey
 	copy(key[:], deriveBytes([]byte("fuzz"), "chan"))
 	codec := NewGuestCodec(key)
-	valid, _ := codec.EncodeRequest([]byte("hello"))
+	valid, _, _ := codec.EncodeRequest(nil, []byte("hello"))
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(make([]byte, chanOverhead))

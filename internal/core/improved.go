@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xvtpm/internal/metrics"
@@ -27,12 +26,6 @@ const guardShardCount = 16
 type guardShard struct {
 	mu sync.RWMutex
 	m  map[vtpm.InstanceID]*instanceState
-
-	// The shard's admission-decision cache (see admitcache.go): an immutable
-	// copy-on-write table behind an atomic pointer. admitMu serializes
-	// writers only; readers never lock.
-	admitMu sync.Mutex
-	admit   atomic.Pointer[admitTable]
 }
 
 // instanceState is everything the guard keeps per instance: the server side
@@ -85,11 +78,6 @@ type ImprovedGuard struct {
 	deniedChannel metrics.Counter
 	deniedPolicy  metrics.Counter
 	admitLat      *metrics.Histogram
-
-	// Admission-decision cache switch and instruments (see admitcache.go).
-	admitCacheOff    atomic.Bool
-	admitCacheHits   metrics.Counter
-	admitCacheMisses metrics.Counter
 }
 
 // NewImprovedGuard assembles the improved controller from its platform keys
@@ -124,7 +112,8 @@ type AdmissionStats struct {
 	DeniedRate    uint64
 	DeniedChannel uint64
 	DeniedPolicy  uint64
-	// Admission-decision cache traffic (see admitcache.go).
+	// Admission-decision cache traffic: the policy's decision cache, which
+	// only the guard consults on a host.
 	CacheHits   uint64
 	CacheMisses uint64
 	// Latency digests AdmitCommand duration across all decisions.
@@ -138,8 +127,8 @@ func (g *ImprovedGuard) AdmissionStats() AdmissionStats {
 		DeniedRate:    g.deniedRate.Load(),
 		DeniedChannel: g.deniedChannel.Load(),
 		DeniedPolicy:  g.deniedPolicy.Load(),
-		CacheHits:     g.admitCacheHits.Load(),
-		CacheMisses:   g.admitCacheMisses.Load(),
+		CacheHits:     g.policy.hits.Load(),
+		CacheMisses:   g.policy.misses.Load(),
 		Latency:       g.admitLat.Summarize(),
 	}
 }
@@ -156,8 +145,8 @@ func (g *ImprovedGuard) RegisterMetrics(reg *metrics.Registry) error {
 		{"xvtpm_guard_denied_rate_total", "Commands refused by flood control.", &g.deniedRate},
 		{"xvtpm_guard_denied_channel_total", "Commands refused by channel authentication.", &g.deniedChannel},
 		{"xvtpm_guard_denied_policy_total", "Commands refused by policy evaluation.", &g.deniedPolicy},
-		{"xvtpm_guard_admit_cache_hits_total", "Admission-decision cache hits.", &g.admitCacheHits},
-		{"xvtpm_guard_admit_cache_misses_total", "Admission-decision cache misses.", &g.admitCacheMisses},
+		{"xvtpm_guard_admit_cache_hits_total", "Admission-decision cache hits.", &g.policy.hits},
+		{"xvtpm_guard_admit_cache_misses_total", "Admission-decision cache misses.", &g.policy.misses},
 	} {
 		if err := reg.RegisterCounter(cr.name, cr.help, cr.c); err != nil {
 			return err
@@ -208,11 +197,6 @@ func (g *ImprovedGuard) channelFor(inst vtpm.InstanceInfo) *serverChannel {
 // migration, when a fresh codec with a fresh sequence space is issued). The
 // instance's flood-control bucket survives a channel reset.
 func (g *ImprovedGuard) ResetChannel(id vtpm.InstanceID) {
-	// A rebind/migration changed the instance's bound identity: flush its
-	// admission-decision cache shard so no verdict derived under the old
-	// binding lingers. This must happen even when the instance never opened
-	// a channel — admission verdicts can be cached before first contact.
-	g.InvalidateAdmit(id)
 	s := g.shard(id)
 	s.mu.RLock()
 	st := s.m[id]
@@ -246,7 +230,7 @@ func (g *ImprovedGuard) AdmitCommand(inst vtpm.InstanceInfo, claimedFrom xen.Dom
 		return nil, nil, err
 	}
 	ordinal := ordinalOf(cmd)
-	if g.evaluateAdmit(inst.Profile, inst.BoundLaunch, inst.ID, ordinal) != Allow {
+	if g.policy.Evaluate(inst.Profile, inst.BoundLaunch, inst.ID, ordinal) != Allow {
 		g.deniedPolicy.Inc()
 		g.audit.Append(inst.ID, inst.BoundLaunch, ordinal, Deny, "policy")
 		return nil, nil, fmt.Errorf("%w: ordinal %#x for instance %d", vtpm.ErrDenied, ordinal, inst.ID)
@@ -272,14 +256,7 @@ func (g *ImprovedGuard) EncoderFor(inst vtpm.InstanceInfo) (vtpm.GuestCodec, err
 
 // ProtectState implements vtpm.Guard: envelope the state under the
 // instance's derived key.
-func (g *ImprovedGuard) ProtectState(inst vtpm.InstanceInfo, state []byte) ([]byte, error) {
-	return stateSeal(g.keys.InstanceKey(inst.ID), state)
-}
-
-// ProtectStateAppend implements vtpm.StateProtectorAppend: the envelope is
-// built into dst, so the manager's checkpoint pipeline reuses one buffer per
-// instance instead of allocating per persist.
-func (g *ImprovedGuard) ProtectStateAppend(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
+func (g *ImprovedGuard) ProtectState(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
 	return stateSealAppend(dst, g.keys.InstanceKey(inst.ID), state)
 }
 

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xvtpm/internal/metrics"
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 	"xvtpm/internal/xen"
@@ -174,40 +175,65 @@ func (r Rule) matches(p tpm.Profile, id xen.LaunchDigest, inst vtpm.InstanceID, 
 }
 
 // Policy is an ordered, first-match rule list with a default effect of Deny
-// and an optional decision cache.
+// and the host's one admission-decision cache.
 //
-// The read path is lock-free: the rule list and cache toggle live in an
-// immutable table behind an atomic pointer, and the decision cache is a
-// sync.Map inside that table. Writers (Append/Prepend/SetCache) build a
-// fresh table — with an empty cache, since any rule change can invalidate
-// any cached decision — and swap it in under writeMu. Evaluate never blocks
-// on a concurrent policy edit, and concurrent Evaluates never contend.
+// The read path is lock-free: the rule list, the cache toggle and the cache
+// itself live in an immutable table behind an atomic pointer. Writers
+// (Append/Prepend/DropInstance/SetCache) build a fresh table with an empty
+// cache and swap it in under writeMu. A verdict is a pure function of the
+// rule list and its key — the key carries the requesting identity, so a
+// rebind or migration reaches fresh entries without any flush — which makes
+// that swap the cache's only invalidation. Evaluate never blocks on a policy
+// edit, and concurrent Evaluates never contend on a hit.
 type Policy struct {
 	table   atomic.Pointer[policyTable]
 	writeMu sync.Mutex // serializes table swaps
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	// gen counts rule mutations. External memoizers (the guard's
-	// admission-decision cache) tag their entries with the generation they
-	// were computed under and treat a mismatch as a miss, so a policy edit
-	// invalidates every derived cache with one atomic increment. The
-	// internal epoch flush does NOT bump it: flushing re-publishes the same
-	// rules, so previously derived verdicts remain correct.
-	gen atomic.Uint64
+	hits    metrics.Counter
+	misses  metrics.Counter
 }
 
-// Generation returns the policy's mutation counter. It changes on every
-// Append/Prepend/SetCache, never on internal cache maintenance.
-func (p *Policy) Generation() uint64 { return p.gen.Load() }
-
-// policyTable is one immutable policy snapshot. rules is never mutated after
-// publication; the cache fills in place (sync.Map) with cacheLen tracking
-// its size for the epoch flush.
+// policyTable is one immutable policy snapshot: rules is never mutated after
+// publication, and the cache shards only ever hold verdicts computed from
+// these rules.
 type policyTable struct {
 	rules    []Rule
 	useCache bool
-	cache    sync.Map // policyKey -> Effect
-	cacheLen atomic.Int64
+	shards   [policyShardCount]cacheShard
+}
+
+// policyShardCount is the number of decision-cache shards per table,
+// selected by instance. Power of two so the shard index is a mask; sharding
+// keeps each copy-on-write insert small and its lock uncontended.
+const policyShardCount = 16
+
+// policyCacheCap bounds each shard; a full shard restarts cold on the next
+// insert rather than growing without bound.
+const policyCacheCap = 4096
+
+// cacheShard is one shard of a table's decision cache: an immutable map
+// behind an atomic pointer. An insert copies the current map and swaps the
+// copy in (copy-on-write), so a hit is one atomic load and one map probe —
+// no lock and no allocation. mu serializes inserters only.
+type cacheShard struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[policyKey]Effect]
+}
+
+// insert publishes a verdict in the shard.
+func (s *cacheShard) insert(key policyKey, e Effect) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var m map[policyKey]Effect
+	if cur := s.m.Load(); cur != nil && len(*cur) < policyCacheCap {
+		m = make(map[policyKey]Effect, len(*cur)+1)
+		for k, v := range *cur {
+			m[k] = v
+		}
+	} else {
+		m = make(map[policyKey]Effect, 1)
+	}
+	m[key] = e
+	s.m.Store(&m)
 }
 
 // policyKey carries the profile so a 1.2 ordinal and a numerically equal 2.0
@@ -219,9 +245,6 @@ type policyKey struct {
 	profile tpm.Profile
 	ordinal uint32
 }
-
-// policyCacheCap bounds the decision cache.
-const policyCacheCap = 16384
 
 // NewPolicy builds a policy from rules, evaluated first-match, default deny.
 // The decision cache is enabled; SetCache(false) disables it (experiment E5
@@ -246,15 +269,14 @@ func DefaultGuestPolicy(id xen.LaunchDigest, inst vtpm.InstanceID) []Rule {
 	return rules
 }
 
-// SetCache toggles the decision cache, clearing it.
+// SetCache toggles the decision cache, clearing it and its statistics.
 func (p *Policy) SetCache(on bool) {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
 	t := p.table.Load()
 	p.table.Store(&policyTable{rules: t.rules, useCache: on})
-	p.gen.Add(1)
-	p.hits.Store(0)
-	p.misses.Store(0)
+	p.hits.Reset()
+	p.misses.Reset()
 }
 
 // Append adds rules at the end of the list (lower priority) and clears the
@@ -266,7 +288,6 @@ func (p *Policy) Append(rules ...Rule) {
 	merged := make([]Rule, 0, len(t.rules)+len(rules))
 	merged = append(append(merged, t.rules...), rules...)
 	p.table.Store(&policyTable{rules: merged, useCache: t.useCache})
-	p.gen.Add(1)
 }
 
 // Prepend adds rules at the front of the list (highest priority) and clears
@@ -278,7 +299,25 @@ func (p *Policy) Prepend(rules ...Rule) {
 	merged := make([]Rule, 0, len(t.rules)+len(rules))
 	merged = append(append(merged, rules...), t.rules...)
 	p.table.Store(&policyTable{rules: merged, useCache: t.useCache})
-	p.gen.Add(1)
+}
+
+// DropInstance removes every rule naming inst and clears the cache. Hosts
+// call it when the instance leaves, so its grants do not outlive it.
+// Wildcard (AnyInstance) rules are kept.
+func (p *Policy) DropInstance(inst vtpm.InstanceID) {
+	if inst == AnyInstance {
+		return
+	}
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	t := p.table.Load()
+	kept := make([]Rule, 0, len(t.rules))
+	for _, r := range t.rules {
+		if r.Instance != inst {
+			kept = append(kept, r)
+		}
+	}
+	p.table.Store(&policyTable{rules: kept, useCache: t.useCache})
 }
 
 // Len returns the rule count.
@@ -293,14 +332,18 @@ func (p *Policy) CacheStats() (hits, misses uint64) {
 
 // Evaluate returns the effect for one request under the requesting
 // instance's command profile. The path is lock-free: one atomic table load,
-// a cache probe, and (on miss) a scan of the immutable rule list.
+// a probe of the instance's cache shard, and (on miss) a scan of the
+// immutable rule list.
 func (p *Policy) Evaluate(profile tpm.Profile, id xen.LaunchDigest, inst vtpm.InstanceID, ordinal uint32) Effect {
-	key := policyKey{id: id, inst: inst, profile: profile, ordinal: ordinal}
 	t := p.table.Load()
+	key := policyKey{id: id, inst: inst, profile: profile, ordinal: ordinal}
+	shard := &t.shards[uint32(inst)&(policyShardCount-1)]
 	if t.useCache {
-		if e, ok := t.cache.Load(key); ok {
-			p.hits.Add(1)
-			return e.(Effect)
+		if m := shard.m.Load(); m != nil {
+			if e, ok := (*m)[key]; ok {
+				p.hits.Inc()
+				return e
+			}
 		}
 	}
 	effect := Deny
@@ -310,20 +353,9 @@ func (p *Policy) Evaluate(profile tpm.Profile, id xen.LaunchDigest, inst vtpm.In
 			break
 		}
 	}
-	p.misses.Add(1)
+	p.misses.Inc()
 	if t.useCache {
-		if _, loaded := t.cache.LoadOrStore(key, effect); !loaded {
-			if t.cacheLen.Add(1) >= policyCacheCap {
-				// Epoch flush: publish a fresh table (same rules, empty
-				// cache), but only if nobody else has swapped the table in
-				// the meantime.
-				p.writeMu.Lock()
-				if p.table.Load() == t {
-					p.table.Store(&policyTable{rules: t.rules, useCache: t.useCache})
-				}
-				p.writeMu.Unlock()
-			}
-		}
+		shard.insert(key, effect)
 	}
 	return effect
 }

@@ -56,7 +56,7 @@ func TestGuardRateLimitThrottles(t *testing.T) {
 	admitted, throttled := 0, 0
 	start := time.Now()
 	for i := 0; i < 40; i++ {
-		payload, _ := codec.EncodeRequest(sampleCmd())
+		payload, _, _ := codec.EncodeRequest(nil, sampleCmd())
 		_, _, err := g.AdmitCommand(inst, inst.BoundDom, inst.BoundLaunch, payload)
 		switch {
 		case err == nil:
@@ -94,7 +94,7 @@ func TestGuardRateLimitThrottles(t *testing.T) {
 	}
 	// Disabling the limit restores service.
 	g.SetRateLimit(0)
-	payload, _ := codec.EncodeRequest(sampleCmd())
+	payload, _, _ := codec.EncodeRequest(nil, sampleCmd())
 	if _, _, err := g.AdmitCommand(inst, inst.BoundDom, inst.BoundLaunch, payload); err != nil {
 		t.Fatalf("after disable: %v", err)
 	}
@@ -111,11 +111,11 @@ func TestGuardRateLimitIsPerInstance(t *testing.T) {
 	codecB, _ := g.EncoderFor(bInst)
 	// Exhaust A's bucket (capacity 3) plus a couple of tarpitted calls.
 	for i := 0; i < 6; i++ {
-		payload, _ := codecA.EncodeRequest(sampleCmd())
+		payload, _, _ := codecA.EncodeRequest(nil, sampleCmd())
 		g.AdmitCommand(a, a.BoundDom, a.BoundLaunch, payload) //nolint:errcheck // draining
 	}
 	// B is unaffected.
-	payload, _ := codecB.EncodeRequest(sampleCmd())
+	payload, _, _ := codecB.EncodeRequest(nil, sampleCmd())
 	if _, _, err := g.AdmitCommand(bInst, bInst.BoundDom, bInst.BoundLaunch, payload); err != nil {
 		t.Fatalf("instance B throttled by A's flood: %v", err)
 	}

@@ -461,7 +461,7 @@ func RunBenchSuite(cfg Config, names ...string) (*BenchReport, error) {
 			return nil, fmt.Errorf("store bench donor: %w", err)
 		}
 		blob, err := core.NewBaselineGuard().ProtectState(
-			vtpm.InstanceInfo{ID: 1, Profile: tpm.Profile12}, eng.AppendState(nil))
+			vtpm.InstanceInfo{ID: 1, Profile: tpm.Profile12}, nil, eng.AppendState(nil))
 		if err != nil {
 			return nil, fmt.Errorf("store bench donor: %w", err)
 		}

@@ -133,9 +133,8 @@ func e17DonorBlob(cfg Config) ([]byte, error) {
 	if err := tpm.StartupEngine(eng); err != nil {
 		return nil, err
 	}
-	state := eng.AppendState(nil)
 	return core.NewBaselineGuard().ProtectState(
-		vtpm.InstanceInfo{ID: 1, Profile: tpm.Profile12}, state)
+		vtpm.InstanceInfo{ID: 1, Profile: tpm.Profile12}, nil, eng.AppendState(nil))
 }
 
 // E17LogStore runs the four phases and renders the summary table.

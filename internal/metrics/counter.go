@@ -16,3 +16,7 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
+
+// Reset zeroes the counter — a counter reset in Prometheus terms, for
+// instruments whose owner restarts their measurement window.
+func (c *Counter) Reset() { c.v.Store(0) }

@@ -61,20 +61,6 @@ func (p *Pending) BatchSize() int {
 	return p.res.BatchSize
 }
 
-// DeferredExecutor is implemented by engines that can split command
-// execution into a locked phase and an unlocked signature-completion phase.
-// The manager uses it to release the instance while the signing pool works.
-type DeferredExecutor interface {
-	ExecuteDeferred(cmd []byte) ([]byte, *Pending)
-}
-
-// PoolAttacher is implemented by engines that accept shared signing and
-// key-generation pools after construction (checkpoint restore, migration
-// import — paths that bypass Config).
-type PoolAttacher interface {
-	AttachPools(signer *SignPool, keys *KeyPool)
-}
-
 // deferredAuth is one response-auth block captured in phase 1.
 type deferredAuth struct {
 	handle   uint32

@@ -73,6 +73,16 @@ type Engine interface {
 	Profile() Profile
 	// Execute runs one marshaled command and returns the marshaled response.
 	Execute(cmd []byte) []byte
+	// ExecuteDeferred is Execute split for the dispatch path: when the
+	// command's signature went to the signing pool, the response comes back
+	// as a Pending (resp == nil) whose Wait completes outside the engine
+	// lock, so the manager can release the instance meanwhile; otherwise
+	// the finished response is returned with a nil Pending.
+	ExecuteDeferred(cmd []byte) (resp []byte, pending *Pending)
+	// AttachPools attaches (or detaches, with nils) the shared signing and
+	// key-generation pools after construction — checkpoint restore and
+	// migration import revive engines without a Config.
+	AttachPools(signer *SignPool, keys *KeyPool)
 	// SaveState serializes the engine's persistent state.
 	SaveState() []byte
 	// AppendState serializes the persistent state into dst (typically

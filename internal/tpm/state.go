@@ -184,9 +184,7 @@ func New(cfg Config) (*TPM, error) {
 	return t, nil
 }
 
-// AttachPools attaches (or detaches, with nils) the shared signing and
-// key-generation pools. The manager calls it after restoring an engine from
-// a checkpoint or migration image, where no Config is in play.
+// AttachPools implements Engine.
 func (t *TPM) AttachPools(signer *SignPool, keys *KeyPool) {
 	t.mu.Lock()
 	t.signer = signer

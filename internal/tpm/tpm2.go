@@ -111,8 +111,7 @@ func New2(cfg Config) (*TPM2, error) {
 	return t, nil
 }
 
-// AttachPools attaches (or detaches, with nils) the shared signing and
-// key-generation pools, as the 1.2 engine's method does.
+// AttachPools implements Engine.
 func (t *TPM2) AttachPools(signer *SignPool, keys *KeyPool) {
 	t.mu.Lock()
 	t.signer = signer

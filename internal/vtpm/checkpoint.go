@@ -322,19 +322,9 @@ func (m *Manager) persistPending(inst *instance, force bool) error {
 	// Every stored blob opens with the plaintext profile header (see
 	// profile.go); the guard envelope follows it. Writing the header into
 	// blobBuf first keeps the steady-state persist loop allocation-free.
-	var blob []byte
-	var err error
-	if pa, ok := m.guard.(StateProtectorAppend); ok {
-		inst.blobBuf, err = pa.ProtectStateAppend(info,
-			appendCheckpointHeader(inst.blobBuf[:0], info.Profile, info.Epoch), inst.stateBuf)
-		blob = inst.blobBuf
-	} else {
-		var env []byte
-		env, err = m.guard.ProtectState(info, inst.stateBuf)
-		if err == nil {
-			blob = append(appendCheckpointHeader(make([]byte, 0, ckptHdrLen+len(env)), info.Profile, info.Epoch), env...)
-		}
-	}
+	blob, err := m.guard.ProtectState(info,
+		appendCheckpointHeader(inst.blobBuf[:0], info.Profile, info.Epoch), inst.stateBuf)
+	inst.blobBuf = blob
 	if err != nil {
 		err = fmt.Errorf("vtpm: protecting state of instance %d: %w", info.ID, err)
 	}

@@ -57,22 +57,20 @@ type DebugReport struct {
 	Instances  []DebugInstance  `json:"instances"`
 }
 
-// UnwrapLogStore digs through wrapper stores (anything exposing the
-// faults.Store-shaped Inner accessor) to the log-structured backend, if one
-// is at the bottom of the stack.
+// UnwrapLogStore digs through fault-injection wrappers to the
+// log-structured backend, if one is at the bottom of the stack.
 func UnwrapLogStore(s Store) (*logstore.Store, bool) {
-	var cur any = s
-	for cur != nil {
-		if ls, ok := cur.(*logstore.Store); ok {
-			return ls, true
-		}
-		u, ok := cur.(interface{ Inner() faults.BlobStore })
-		if !ok {
+	var cur faults.BlobStore = s
+	for {
+		switch st := cur.(type) {
+		case *logstore.Store:
+			return st, true
+		case *faults.Store:
+			cur = st.Inner()
+		default:
 			return nil, false
 		}
-		cur = u.Inner()
 	}
-	return nil, false
 }
 
 // StoreDebug snapshots the log store's counters, or returns nil when the

@@ -70,15 +70,12 @@ func backPath(dom xen.DomID) string {
 // Frontend is the guest half of the vTPM split driver. It implements
 // tpm.Transport, so a tpm.Client can sit directly on top of it.
 type Frontend struct {
-	hv        *xen.Hypervisor
-	xs        *xenstore.Store
-	dom       *xen.Domain
-	codec     GuestCodec
-	appendEnc AppendRequestEncoder  // non-nil when codec supports append encoding
-	respDec   AppendResponseDecoder // non-nil when codec supports append decoding
-	seqEnc    SeqCodec              // non-nil when codec supports pipelined sequencing
-	cfg       FrontendConfig
-	pipe      *pipeline // non-nil when cfg.PipelineDepth > 1
+	hv    *xen.Hypervisor
+	xs    *xenstore.Store
+	dom   *xen.Domain
+	codec GuestCodec
+	cfg   FrontendConfig
+	pipe  *pipeline // non-nil when cfg.PipelineDepth > 1
 
 	mu     sync.Mutex
 	r      *ring.Ring
@@ -96,13 +93,10 @@ func NewFrontend(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec 
 
 // NewFrontendCfg is NewFrontend with explicit transport configuration.
 func NewFrontendCfg(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec GuestCodec, cfg FrontendConfig) *Frontend {
-	ae, _ := codec.(AppendRequestEncoder)
-	rd, _ := codec.(AppendResponseDecoder)
-	se, _ := codec.(SeqCodec)
 	if cfg.PipelineDepth > int(deviceRingGeometry.NumSlots) {
 		cfg.PipelineDepth = int(deviceRingGeometry.NumSlots)
 	}
-	f := &Frontend{hv: hv, xs: xs, dom: dom, codec: codec, appendEnc: ae, respDec: rd, seqEnc: se, cfg: cfg}
+	f := &Frontend{hv: hv, xs: xs, dom: dom, codec: codec, cfg: cfg}
 	if cfg.PipelineDepth > 1 {
 		f.pipe = newPipeline(cfg.PipelineDepth)
 	}
@@ -216,20 +210,11 @@ func (f *Frontend) transmitLocked(cmd []byte) ([]byte, error) {
 	// byte reserved up front, so the encoder writes straight behind it and
 	// no prefix copy is needed. EnqueueRequest copies the payload into the
 	// ring slot, so reusing the buffer on the next command is safe.
-	f.txBuf = append(f.txBuf[:0], payloadEncoded)
-	if f.appendEnc != nil {
-		buf, err := f.appendEnc.EncodeRequestAppend(f.txBuf, cmd)
-		if err != nil {
-			return nil, err
-		}
-		f.txBuf = buf
-	} else {
-		enc, err := f.codec.EncodeRequest(cmd)
-		if err != nil {
-			return nil, err
-		}
-		f.txBuf = append(f.txBuf, enc...)
+	buf, seq, err := f.codec.EncodeRequest(append(f.txBuf[:0], payloadEncoded), cmd)
+	if err != nil {
+		return nil, err
 	}
+	f.txBuf = buf
 	id, err := f.r.EnqueueRequest(f.txBuf)
 	if err != nil {
 		return nil, err
@@ -273,10 +258,7 @@ func (f *Frontend) transmitLocked(cmd []byte) ([]byte, error) {
 		case payloadRaw:
 			return append([]byte(nil), rp[1:]...), nil
 		case payloadEncoded:
-			if f.respDec != nil {
-				return f.respDec.DecodeResponseAppend(nil, rp[1:])
-			}
-			return f.codec.DecodeResponse(rp[1:])
+			return f.codec.DecodeResponse(nil, rp[1:], seq)
 		default:
 			return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
 		}

@@ -69,8 +69,11 @@ type Guard interface {
 	EncoderFor(inst InstanceInfo) (GuestCodec, error)
 
 	// ProtectState transforms raw instance state for at-rest storage and
-	// for the manager's in-memory mirror.
-	ProtectState(inst InstanceInfo, state []byte) ([]byte, error)
+	// for the manager's in-memory mirror, appending the protected form to
+	// dst and returning the extended slice. The checkpoint pipeline passes
+	// buf[:0] of one scratch buffer per instance, so steady-state persists
+	// do not allocate.
+	ProtectState(inst InstanceInfo, dst, state []byte) ([]byte, error)
 
 	// RecoverState reverses ProtectState.
 	RecoverState(inst InstanceInfo, blob []byte) ([]byte, error)
@@ -94,86 +97,32 @@ type Guard interface {
 	RetainsPlaintext() bool
 }
 
-// StateProtectorAppend is an optional Guard extension: ProtectState building
-// the blob into a caller-supplied buffer. The manager's checkpoint pipeline
-// type-asserts for it so steady-state persists reuse one envelope buffer per
-// instance instead of allocating per checkpoint; guards that don't implement
-// it fall back to ProtectState.
-type StateProtectorAppend interface {
-	// ProtectStateAppend appends the protected form of state to dst and
-	// returns the extended slice (dst is typically buf[:0] of a scratch
-	// slice).
-	ProtectStateAppend(inst InstanceInfo, dst, state []byte) ([]byte, error)
-}
-
 // GuestCodec is the frontend half of the command channel: it encodes
-// outgoing TPM commands into ring payloads and decodes ring responses.
+// outgoing TPM commands into ring payloads and decodes ring responses. Both
+// directions append into caller-supplied buffers, so a frontend builds each
+// framed request in one reusable transmit buffer.
 type GuestCodec interface {
-	// EncodeRequest wraps one TPM command for the ring.
-	EncodeRequest(cmd []byte) ([]byte, error)
-	// DecodeResponse unwraps one ring response.
-	DecodeResponse(payload []byte) ([]byte, error)
-}
-
-// AppendRequestEncoder is an optional GuestCodec extension: EncodeRequest
-// appending into a caller-supplied buffer. The frontend type-asserts for it
-// so it can reserve the ring framing tag byte up front and build the whole
-// framed request in one reusable transmit buffer, with no per-command copy.
-type AppendRequestEncoder interface {
-	// EncodeRequestAppend appends the encoded form of cmd to dst and returns
-	// the extended slice.
-	EncodeRequestAppend(dst, cmd []byte) ([]byte, error)
-}
-
-// AppendResponseDecoder is an optional GuestCodec extension: DecodeResponse
-// appending the plaintext into a caller-supplied buffer and returning the
-// extended slice, so the lockstep frontend decodes into one reusable buffer
-// per device.
-type AppendResponseDecoder interface {
-	DecodeResponseAppend(dst, payload []byte) ([]byte, error)
-}
-
-// SeqCodec is an optional GuestCodec extension for pipelined frontends. A
-// codec that tags envelopes with sequence numbers cannot validate responses
-// against "the last request sent" once several commands are in flight, so the
-// pipelined path records each request's sequence number in its pending-table
-// slot and asks the codec to check the response against exactly that value.
-type SeqCodec interface {
-	// EncodeRequestAppendSeq is EncodeRequestAppend also returning the
-	// request's sequence tag.
-	EncodeRequestAppendSeq(dst, cmd []byte) ([]byte, uint64, error)
-	// DecodeResponseAppendSeq decodes a response that must carry sequence
-	// tag seq, appending the plaintext to dst and returning the extended
+	// EncodeRequest appends the ring payload for cmd to dst and returns the
+	// extended slice with the request's sequence tag. A pipelined frontend
+	// keeps the tag per in-flight slot to match out-of-order completions.
+	EncodeRequest(dst, cmd []byte) ([]byte, uint64, error)
+	// DecodeResponse unwraps a ring response that must answer the request
+	// tagged seq, appending the plaintext to dst and returning the extended
 	// slice.
-	DecodeResponseAppendSeq(dst, payload []byte, seq uint64) ([]byte, error)
+	DecodeResponse(dst, payload []byte, seq uint64) ([]byte, error)
 }
 
 // PlainCodec passes commands through untouched — the baseline channel.
+// Plaintext frames carry no sequence tag: every request is tagged 0 and a
+// response matches any tag.
 type PlainCodec struct{}
 
 // EncodeRequest implements GuestCodec.
-func (PlainCodec) EncodeRequest(cmd []byte) ([]byte, error) { return cmd, nil }
-
-// EncodeRequestAppend implements AppendRequestEncoder.
-func (PlainCodec) EncodeRequestAppend(dst, cmd []byte) ([]byte, error) {
-	return append(dst, cmd...), nil
-}
-
-// DecodeResponse implements GuestCodec.
-func (PlainCodec) DecodeResponse(p []byte) ([]byte, error) { return p, nil }
-
-// DecodeResponseAppend implements AppendResponseDecoder.
-func (PlainCodec) DecodeResponseAppend(dst, p []byte) ([]byte, error) {
-	return append(dst, p...), nil
-}
-
-// EncodeRequestAppendSeq implements SeqCodec: plaintext frames carry no
-// sequence tag, so every request is tagged 0.
-func (PlainCodec) EncodeRequestAppendSeq(dst, cmd []byte) ([]byte, uint64, error) {
+func (PlainCodec) EncodeRequest(dst, cmd []byte) ([]byte, uint64, error) {
 	return append(dst, cmd...), 0, nil
 }
 
-// DecodeResponseAppendSeq implements SeqCodec; untagged frames match any seq.
-func (PlainCodec) DecodeResponseAppendSeq(dst, p []byte, _ uint64) ([]byte, error) {
+// DecodeResponse implements GuestCodec.
+func (PlainCodec) DecodeResponse(dst, p []byte, _ uint64) ([]byte, error) {
 	return append(dst, p...), nil
 }

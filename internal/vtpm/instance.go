@@ -89,9 +89,7 @@ type instance struct {
 // bypass tpm.Config — is attached to the manager's shared signing and
 // key-generation pools.
 func (m *Manager) newInstance(info InstanceInfo, eng tpm.Engine) *instance {
-	if pa, ok := eng.(tpm.PoolAttacher); ok {
-		pa.AttachPools(m.signPool, m.keyPool)
-	}
+	eng.AttachPools(m.signPool, m.keyPool)
 	inst := &instance{
 		info:  info,
 		eng:   eng,

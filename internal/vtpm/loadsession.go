@@ -71,7 +71,7 @@ func (s *LoadSession) Transmit(cmd []byte) ([]byte, error) {
 	if s.closed {
 		return nil, ErrBadChannel
 	}
-	payload, err := s.codec.EncodeRequest(cmd)
+	payload, seq, err := s.codec.EncodeRequest(nil, cmd)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func (s *LoadSession) Transmit(cmd []byte) ([]byte, error) {
 		return nil, err
 	}
 	atomic.AddUint64(&s.m.loadCommands, 1)
-	return s.codec.DecodeResponse(resp)
+	return s.codec.DecodeResponse(nil, resp, seq)
 }
 
 // Close retires the session. The instance stays bound; callers own its

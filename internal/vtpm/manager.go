@@ -656,27 +656,21 @@ func (m *Manager) dispatchInstance(inst *instance, claimedFrom xen.DomID, claime
 	}
 	ordinal = ordinalOf(cmd)
 	execStart := time.Now()
-	var resp []byte
-	if de, ok := inst.eng.(tpm.DeferredExecutor); ok {
-		var pending *tpm.Pending
-		resp, pending = de.ExecuteDeferred(cmd)
-		if pending != nil {
-			// The engine finished its locked phase; release the lane while
-			// the signature is computed off-path.
-			inst.mu.Unlock()
-			locked = false
-			waitStart := time.Now()
-			resp = pending.Wait()
-			signWait = time.Since(waitStart)
-			inst.mu.Lock()
-			locked = true
-			if serr := pending.Err(); serr != nil {
-				signErr = true
-				m.signErrors.Inc()
-			}
+	resp, pending := inst.eng.ExecuteDeferred(cmd)
+	if pending != nil {
+		// The engine finished its locked phase; release the lane while the
+		// signature is computed off-path.
+		inst.mu.Unlock()
+		locked = false
+		waitStart := time.Now()
+		resp = pending.Wait()
+		signWait = time.Since(waitStart)
+		inst.mu.Lock()
+		locked = true
+		if serr := pending.Err(); serr != nil {
+			signErr = true
+			m.signErrors.Inc()
 		}
-	} else {
-		resp = inst.eng.Execute(cmd)
 	}
 	// The engine work is done on the guest's behalf: charge it to the
 	// guest's CPU account, as the hypervisor's scheduler accounting would.

@@ -162,27 +162,14 @@ func (f *Frontend) transmitPipelined(cmd []byte) ([]byte, error) {
 		p.slotFree.Wait()
 	}
 	s.used, s.done = true, false
-	p.txBuf = append(p.txBuf[:0], payloadEncoded)
-	var seq uint64
-	if f.seqEnc != nil {
-		buf, sq, err := f.seqEnc.EncodeRequestAppendSeq(p.txBuf, cmd)
-		if err != nil {
-			s.used = false
-			p.mu.Unlock()
-			p.slotFree.Signal()
-			return nil, err
-		}
-		p.txBuf, seq = buf, sq
-	} else {
-		enc, err := f.codec.EncodeRequest(cmd)
-		if err != nil {
-			s.used = false
-			p.mu.Unlock()
-			p.slotFree.Signal()
-			return nil, err
-		}
-		p.txBuf = append(p.txBuf, enc...)
+	buf, seq, err := f.codec.EncodeRequest(append(p.txBuf[:0], payloadEncoded), cmd)
+	if err != nil {
+		s.used = false
+		p.mu.Unlock()
+		p.slotFree.Signal()
+		return nil, err
 	}
+	p.txBuf = buf
 	// Depth never exceeds the slot count and every in-flight command's
 	// response is drained eagerly, so the ring cannot be full here and the
 	// enqueue never blocks while p.mu is held.
@@ -256,10 +243,7 @@ func (f *Frontend) decodeSlot(s *pendSlot) ([]byte, error) {
 	case payloadRaw:
 		return append([]byte(nil), rp[1:]...), nil
 	case payloadEncoded:
-		if f.seqEnc != nil {
-			return f.seqEnc.DecodeResponseAppendSeq(nil, rp[1:], s.seq)
-		}
-		return f.codec.DecodeResponse(rp[1:])
+		return f.codec.DecodeResponse(nil, rp[1:], s.seq)
 	default:
 		return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
 	}

@@ -43,11 +43,11 @@ func mask(b []byte) []byte {
 	return out
 }
 
-func (g *passGuard) ProtectState(inst InstanceInfo, state []byte) ([]byte, error) {
+func (g *passGuard) ProtectState(inst InstanceInfo, dst, state []byte) ([]byte, error) {
 	if g.protect {
-		return mask(state), nil
+		return append(dst, mask(state)...), nil
 	}
-	return append([]byte(nil), state...), nil
+	return append(dst, state...), nil
 }
 
 func (g *passGuard) RecoverState(inst InstanceInfo, blob []byte) ([]byte, error) {

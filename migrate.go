@@ -17,7 +17,6 @@ import (
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 	"xvtpm/internal/xen"
-	"xvtpm/internal/xenstore"
 )
 
 // ErrMigrationDiverged reports that the destination's imported vTPM did not
@@ -64,7 +63,7 @@ func (h *Host) BeginMigration(g *Guest) (*xen.DomainImage, error) {
 // FinishMigration destroys the source copies of a migrated guest — called
 // only after the destination copy is activated (and, in Migrate, verified).
 func (h *Host) FinishMigration(g *Guest) error {
-	if err := h.Manager.DestroyInstance(g.Instance); err != nil {
+	if err := h.destroyInstance(g.Instance); err != nil {
 		return err
 	}
 	h.mu.Lock()
@@ -73,7 +72,7 @@ func (h *Host) FinishMigration(g *Guest) error {
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return err
 	}
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	return nil
 }
 
@@ -89,19 +88,19 @@ func (h *Host) CancelMigration(g *Guest, img *xen.DomainImage) (*Guest, error) {
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return nil, err
 	}
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	dom, err := h.HV.RestoreDomain(xen.Dom0, img)
 	if err != nil {
 		return nil, err
 	}
-	return h.attachGuest(dom, g.Instance)
+	return h.attachGuest(dom, g.Instance, false)
 }
 
 // ReattachGuest rebinds and reconnects a guest whose device was torn down
 // but whose domain never suspended — the rollback path for a migration that
 // failed before the domain was saved.
 func (h *Host) ReattachGuest(g *Guest) (*Guest, error) {
-	return h.attachGuest(g.Dom, g.Instance)
+	return h.attachGuest(g.Dom, g.Instance, false)
 }
 
 // ReceiveImage activates a migrated guest from in-memory images — the
@@ -119,10 +118,10 @@ func (h *Host) ReceiveImage(domImg *xen.DomainImage, img *vtpm.InstanceImage) (*
 		h.Manager.DestroyInstance(id) //nolint:errcheck // unwinding a partial import
 		return nil, err
 	}
-	g, err := h.attachGuest(dom, id)
+	g, err := h.attachGuest(dom, id, true)
 	if err != nil {
 		h.HV.DestroyDomain(xen.Dom0, dom.ID()) //nolint:errcheck // unwinding a partial import
-		h.Manager.DestroyInstance(id)          //nolint:errcheck // unwinding a partial import
+		h.destroyInstance(id)                  //nolint:errcheck // unwinding a partial import
 		return nil, err
 	}
 	return g, nil
@@ -148,10 +147,10 @@ func (h *Host) AdoptGuest(spec GuestConfig, origID vtpm.InstanceID, blob []byte)
 		h.Manager.DestroyInstance(id) //nolint:errcheck // unwinding a partial adoption
 		return nil, err
 	}
-	g, err := h.attachGuest(dom, id)
+	g, err := h.attachGuest(dom, id, true)
 	if err != nil {
 		h.HV.DestroyDomain(xen.Dom0, dom.ID()) //nolint:errcheck // unwinding a partial adoption
-		h.Manager.DestroyInstance(id)          //nolint:errcheck // unwinding a partial adoption
+		h.destroyInstance(id)                  //nolint:errcheck // unwinding a partial adoption
 		return nil, err
 	}
 	return g, nil

@@ -478,12 +478,15 @@ func (h *Host) CreateGuest(cfg GuestConfig) (*Guest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.attachGuest(dom, inst)
+	return h.attachGuest(dom, inst, true)
 }
 
 // attachGuest binds an existing instance to a domain and connects the
-// device. Shared by CreateGuest and migration receive.
-func (h *Host) attachGuest(dom *xen.Domain, inst vtpm.InstanceID) (*Guest, error) {
+// device. Shared by CreateGuest, resume and migration receive and rollback.
+// grant appends the default guest policy (improved mode): true for an
+// instance new to this host, false when a guest re-attaches to an instance
+// it already held here, whose rules are still in place.
+func (h *Host) attachGuest(dom *xen.Domain, inst vtpm.InstanceID, grant bool) (*Guest, error) {
 	// The domain builder pre-creates the guest's XenStore home directory
 	// and hands it over, as xend does.
 	base := fmt.Sprintf("/local/domain/%d", dom.ID())
@@ -499,7 +502,7 @@ func (h *Host) attachGuest(dom *xen.Domain, inst vtpm.InstanceID) (*Guest, error
 	if err := h.Manager.BindInstance(inst, dom); err != nil {
 		return nil, err
 	}
-	if ig, ok := h.ImprovedGuard(); ok {
+	if ig, ok := h.ImprovedGuard(); ok && grant {
 		ig.Policy().Append(core.DefaultGuestPolicy(dom.Launch(), inst)...)
 	}
 	codec, err := h.Manager.EncoderFor(inst)
@@ -551,7 +554,7 @@ func (h *Host) DestroyGuest(g *Guest) error {
 	if err := h.Manager.UnbindInstance(g.Instance); err != nil && !errors.Is(err, vtpm.ErrUnbound) {
 		return err
 	}
-	if err := h.Manager.DestroyInstance(g.Instance); err != nil {
+	if err := h.destroyInstance(g.Instance); err != nil {
 		return err
 	}
 	h.mu.Lock()
@@ -560,8 +563,27 @@ func (h *Host) DestroyGuest(g *Guest) error {
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return err
 	}
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	h.forgetDomain(g.Dom.ID())
 	return nil
+}
+
+// destroyInstance removes an instance from this host together with the
+// policy rules that name it, so rules do not pile up as guests leave.
+func (h *Host) destroyInstance(id vtpm.InstanceID) error {
+	if err := h.Manager.DestroyInstance(id); err != nil {
+		return err
+	}
+	if ig, ok := h.ImprovedGuard(); ok {
+		ig.Policy().DropInstance(id)
+	}
+	return nil
+}
+
+// forgetDomain clears a dead domain's XenStore state, as the toolstack
+// does: its home directory and its vTPM backend directory.
+func (h *Host) forgetDomain(dom xen.DomID) {
+	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", dom))                //nolint:errcheck // best effort
+	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/0/backend/vtpm/%d", dom)) //nolint:errcheck // best effort
 }
 
 // Guests returns the host's live guests.
@@ -635,7 +657,7 @@ func (h *Host) CloseLoadSlot(s *LoadSlot) error {
 	if err := h.Manager.UnbindInstance(s.Instance); err != nil && !errors.Is(err, vtpm.ErrUnbound) {
 		return err
 	}
-	if err := h.Manager.DestroyInstance(s.Instance); err != nil {
+	if err := h.destroyInstance(s.Instance); err != nil {
 		return err
 	}
 	return h.HV.DestroyDomain(xen.Dom0, s.Dom.ID())
@@ -669,9 +691,8 @@ func (h *Host) SuspendGuest(g *Guest) (string, error) {
 	if err := h.HV.DestroyDomain(xen.Dom0, g.Dom.ID()); err != nil {
 		return "", err
 	}
-	// Clear the dead domain's XenStore subtree, as the toolstack does;
-	// resume creates a fresh one under the new domain ID.
-	h.XS.Remove(xen.Dom0, xenstore.NoTxn, fmt.Sprintf("/local/domain/%d", g.Dom.ID())) //nolint:errcheck // best effort
+	// Resume creates fresh XenStore state under the new domain ID.
+	h.forgetDomain(g.Dom.ID())
 	h.mu.Lock()
 	if h.suspended == nil {
 		h.suspended = make(map[string]*suspendedGuest)
@@ -699,7 +720,7 @@ func (h *Host) ResumeGuest(handle string) (*Guest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.attachGuest(dom, sg.inst)
+	return h.attachGuest(dom, sg.inst, false)
 }
 
 // SendGuest drives the source side of live migration over conn: detach the
@@ -730,5 +751,5 @@ func (h *Host) ReceiveGuest(conn io.ReadWriter) (*Guest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.attachGuest(dom, inst)
+	return h.attachGuest(dom, inst, true)
 }

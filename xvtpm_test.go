@@ -459,6 +459,49 @@ func TestSuspendResumeGuest(t *testing.T) {
 	})
 }
 
+// TestGuestLifecycleKeepsPolicyBounded walks the host-level arrival and
+// departure paths — suspend/resume, load slots, destroy — and checks that
+// the improved guard's policy holds exactly the default rules of the
+// instances still on the host.
+func TestGuestLifecycleKeepsPolicyBounded(t *testing.T) {
+	h := newTestHost(t, "rules", ModeImproved)
+	ig, _ := h.ImprovedGuard()
+	g := newTestGuest(t, h, "web")
+	per := len(core.DefaultGuestPolicy(g.Dom.Launch(), g.Instance))
+	wantRules := func(tag string, n int) {
+		t.Helper()
+		if got := ig.Policy().Len(); got != n*per {
+			t.Fatalf("%s: %d rules, want %d", tag, got, n*per)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		handle, err := h.SuspendGuest(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err = h.ResumeGuest(handle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRules("after 3 resumes", 1)
+	if _, err := g.TPM.GetRandom(4); err != nil {
+		t.Fatalf("resumed guest refused: %v", err)
+	}
+	slot, err := h.OpenLoadSlot("load", tpm.AnyProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRules("with a load slot", 2)
+	if err := h.CloseLoadSlot(slot); err != nil {
+		t.Fatal(err)
+	}
+	wantRules("after closing the load slot", 1)
+	if err := h.DestroyGuest(g); err != nil {
+		t.Fatal(err)
+	}
+	wantRules("after destroy", 0)
+}
+
 func TestHostRequiresNameAndKernel(t *testing.T) {
 	if _, err := NewHost(HostConfig{}); err == nil {
 		t.Fatal("unnamed host accepted")
