@@ -56,9 +56,13 @@ capacity-smoke:
 capacity-gate:
 	$(GO) run ./cmd/benchrunner -capacity-check $(BENCH_BASELINE)
 
-# staticcheck when the module cache / network can supply it, go vet otherwise
-# (this repo must build with zero installs, so lint degrades gracefully).
+# gofmt first (any file it lists fails lint), then staticcheck when the
+# module cache / network can supply it, go vet otherwise (this repo must
+# build with zero installs, so lint degrades gracefully).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if $(GO) run $(STATICCHECK) -version >/dev/null 2>&1; then \
 		$(GO) run $(STATICCHECK) ./...; \
 	else \

@@ -528,8 +528,7 @@ func BenchmarkChannelEnvelope(b *testing.B) {
 // BenchmarkGuestPipelinedThroughput measures aggregate guest-path
 // throughput at pipeline depth 1 (lockstep) versus depth 8, with 8
 // concurrent submitters per guest. ns/op is inverse throughput: wall time
-// divided by completed commands. The depth=8 row must sustain at least 3x
-// the depth=1 rate — the whole point of the pipelined transport.
+// divided by completed commands.
 //
 // Both rows run with a modelled 25µs event-channel delivery cost
 // (HostConfig.EventLatency): on real Xen every doorbell is a hypercall

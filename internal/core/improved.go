@@ -209,6 +209,33 @@ func (g *ImprovedGuard) ResetChannel(id vtpm.InstanceID) {
 	st.mu.Unlock()
 }
 
+// DropInstance forgets everything the guard keeps for an instance that has
+// left the host: the policy rules naming it, its server channel and
+// flood-control bucket, and any rate override set for it.
+func (g *ImprovedGuard) DropInstance(id vtpm.InstanceID) {
+	g.policy.DropInstance(id)
+	g.rateMu.Lock()
+	delete(g.rateOverride, id)
+	g.rateMu.Unlock()
+	s := g.shard(id)
+	s.mu.Lock()
+	delete(s.m, id)
+	s.mu.Unlock()
+}
+
+// InstanceStates reports how many instances the guard holds channel and
+// flood-control state for.
+func (g *ImprovedGuard) InstanceStates() int {
+	n := 0
+	for i := range g.shards {
+		s := &g.shards[i]
+		s.mu.RLock()
+		n += len(s.m)
+		s.mu.RUnlock()
+	}
+	return n
+}
+
 // AdmitCommand implements vtpm.Guard. The claimed origin is deliberately
 // ignored for authentication: only possession of the channel key — which
 // the domain builder installed into the measured guest and nowhere else —

@@ -120,3 +120,47 @@ func TestGuardRateLimitIsPerInstance(t *testing.T) {
 		t.Fatalf("instance B throttled by A's flood: %v", err)
 	}
 }
+
+// TestDropInstanceForgetsGuardState checks that a departed instance leaves
+// nothing in the guard: its channel, bucket and rate override go, and an
+// instance admitted again under the same ID starts from a fresh channel and
+// the default rate.
+func TestDropInstanceForgetsGuardState(t *testing.T) {
+	g, _ := newImproved(t, "drop")
+	inst := testInstance(1, "guest")
+	g.Policy().Append(DefaultGuestPolicy(inst.BoundLaunch, inst.ID)...)
+	g.SetRateLimitFor(inst.ID, 1)
+	admit := func(codec vtpm.GuestCodec) error {
+		payload, _, _ := codec.EncodeRequest(nil, sampleCmd())
+		_, _, err := g.AdmitCommand(inst, inst.BoundDom, inst.BoundLaunch, payload)
+		return err
+	}
+	old, err := g.EncoderFor(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := admit(old); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.InstanceStates(); got != 1 {
+		t.Fatalf("instance states = %d, want 1", got)
+	}
+	g.DropInstance(inst.ID)
+	if got := g.InstanceStates(); got != 0 {
+		t.Fatalf("instance states after drop = %d, want 0", got)
+	}
+	if g.Policy().Len() != 0 {
+		t.Fatalf("%d rules survive the drop", g.Policy().Len())
+	}
+	// Back under the same ID: fresh channel, no inherited 1/s override.
+	g.Policy().Append(DefaultGuestPolicy(inst.BoundLaunch, inst.ID)...)
+	fresh, err := g.EncoderFor(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := admit(fresh); err != nil {
+			t.Fatalf("command %d after re-admission: %v", i, err)
+		}
+	}
+}

@@ -3,12 +3,12 @@ package experiments
 // E15: the transport pipeline study (DESIGN.md §9). One improved-mode guest
 // is driven by 8 concurrent submitters at pipeline depths 1..8 under the
 // same modelled event-channel delivery cost the throughput gate uses
-// (benchEventLatency). Depth 1 is the /dev/tpm0 lockstep discipline: every
-// command pays a full sealed round trip including two doorbells. Deeper
-// pipelines overlap round trips, so the backend drains multi-frame batches
-// per wakeup and the RING_FINAL_CHECK handshake suppresses most doorbells —
-// per-command notify cost collapses toward zero and throughput rises until
-// the serial crypto-plus-dispatch floor takes over. Reported per depth:
+// (benchEventLatency). Depth 1 is the /dev/tpm0 lockstep discipline: one
+// sealed round trip in flight at a time. Deeper pipelines overlap round
+// trips, so the backend drains multi-frame batches per wakeup. At every
+// depth the RING_FINAL_CHECK handshake suppresses the doorbells of a peer
+// that is awake, so per-command notify cost stays near zero and throughput
+// is bounded by the serial crypto-plus-dispatch floor. Reported per depth:
 // inverse throughput, guest RTT percentiles, mean request frames per
 // backend drain, and doorbells actually sent per command.
 

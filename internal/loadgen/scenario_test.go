@@ -88,16 +88,16 @@ func TestScenarioTraceDirective(t *testing.T) {
 
 func TestScenarioRejects(t *testing.T) {
 	for _, bad := range []string{
-		"guests",                     // missing arg
-		"guests -4",                  // negative
-		"bogus 1",                    // unknown directive
-		"mix extend",                 // not op:value
-		"mix warp:4",                 // unknown op
-		"offered NaN",                // non-finite
-		"duration -1s",               // negative duration
-		"stall 1s",                   // arity
+		"guests",                               // missing arg
+		"guests -4",                            // negative
+		"bogus 1",                              // unknown directive
+		"mix extend",                           // not op:value
+		"mix warp:4",                           // unknown op
+		"offered NaN",                          // non-finite
+		"duration -1s",                         // negative duration
+		"stall 1s",                             // arity
 		"trace 2s 0 extend\ntrace 1s 0 extend", // out of order
-		"rates",                      // empty ladder
+		"rates",                                // empty ladder
 	} {
 		if _, err := ParseScenario(bad); err == nil {
 			t.Fatalf("accepted %q", bad)

@@ -34,12 +34,68 @@ const (
 	RCInstanceMoved  uint32 = 0x00000F05 // instance fenced: ownership moved, retry at the new owner
 )
 
-// driverWaitPoll is how long the split-driver service loops block on the
-// event channel before re-polling the ring. On real hardware a lost
-// interrupt stalls the device until the next one; here a bounded wait turns
-// a dropped notification (see xen.EventChannels.SetNotifyFault) into a short
-// delay instead of a deadlock.
+// driverWaitPoll is how long a ring consumer blocks on the event channel
+// before re-polling the ring. On real hardware a lost interrupt stalls the
+// device until the next one; here a bounded wait turns a dropped
+// notification (see xen.EventChannels.SetNotifyFault) into a short delay
+// instead of a deadlock.
 const driverWaitPoll = 2 * time.Millisecond
+
+// pipeSpinPolls bounds how many times a ring consumer yields the processor
+// and re-polls before it sleeps, when doorbells have a modelled cost: the
+// producer usually answers within microseconds, and a response caught by
+// polling is one the producer need not pay a doorbell for.
+const pipeSpinPolls = 64
+
+// awaitRing is the consumer side of every ring direction — the backend
+// waiting for requests, frontends waiting for responses — in the Xen
+// RING_FINAL_CHECK shape. It polls until poll reports frames or fails. The
+// direction's notify flag stays cleared while the consumer is awake, so
+// producers skip their doorbells; it is raised only right before sleeping,
+// followed by one more poll so a frame published into the gap is never
+// announced into silence, and cleared again after every wake. Yielding
+// between polls only pays when a doorbell costs something
+// (NotifyLatency > 0); at zero cost the consumer blocks at once.
+func awaitRing(ec *xen.EventChannels, self xen.DomID, port xen.EvtchnPort, setNotify func(on bool), poll func() (bool, error)) error {
+	spins := 0
+	if ec.NotifyLatency() > 0 {
+		spins = pipeSpinPolls
+	}
+	for {
+		for spin := 0; ; spin++ {
+			if ok, err := poll(); ok || err != nil {
+				return err
+			}
+			if spin >= spins {
+				break
+			}
+			runtime.Gosched()
+		}
+		setNotify(true)
+		ok, err := poll()
+		if ok || err != nil {
+			setNotify(false)
+			return err
+		}
+		werr := ec.WaitTimeout(self, port, driverWaitPoll)
+		setNotify(false)
+		if werr != nil && !errors.Is(werr, xen.ErrWaitTimeout) {
+			return werr
+		}
+	}
+}
+
+// ringDoorbell is the producer side of every ring direction: after
+// publishing frames it notifies the consumer only if the consumer's notify
+// flag asks for it (wanted), and otherwise counts the doorbell as
+// suppressed — the consumer is awake and will find the frames itself.
+func ringDoorbell(ec *xen.EventChannels, self xen.DomID, port xen.EvtchnPort, wanted bool) error {
+	if !wanted {
+		ec.NoteSuppressed()
+		return nil
+	}
+	return ec.Notify(self, port)
+}
 
 // Ring geometry of the vTPM device: 8 in-flight slots of 4 KiB, sized for
 // the largest key blobs the engine emits.
@@ -219,50 +275,24 @@ func (f *Frontend) transmitLocked(cmd []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Skip the doorbell when the backend is already draining (it will pick
-	// the request up in its final ring check before sleeping).
-	if f.r.RequestNotifyWanted() {
-		if err := f.hv.EventChannels().Notify(f.dom.ID(), f.port); err != nil {
-			return nil, err
-		}
-	} else {
-		f.hv.EventChannels().NoteSuppressed()
+	ec := f.hv.EventChannels()
+	if err := ringDoorbell(ec, f.dom.ID(), f.port, f.r.RequestNotifyWanted()); err != nil {
+		return nil, err
 	}
-	for spin := 0; ; spin++ {
-		rid, rp, ok, err := f.r.TryDequeueResponseInto(f.rxBuf[:0])
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// The backend usually answers within microseconds: re-poll a
-			// bounded number of times before paying for a timed sleep.
-			if spin < pipeSpinPolls {
-				runtime.Gosched()
-				continue
-			}
-			werr := f.hv.EventChannels().WaitTimeout(f.dom.ID(), f.port, driverWaitPoll)
-			if werr != nil && !errors.Is(werr, xen.ErrWaitTimeout) {
-				return nil, werr
-			}
-			spin = 0
-			continue
-		}
-		f.rxBuf = rp
-		if rid != id {
-			return nil, fmt.Errorf("vtpm: response id %d for request %d", rid, id)
-		}
-		if len(rp) == 0 {
-			return nil, ErrShortPayload
-		}
-		switch rp[0] {
-		case payloadRaw:
-			return append([]byte(nil), rp[1:]...), nil
-		case payloadEncoded:
-			return f.codec.DecodeResponse(nil, rp[1:], seq)
-		default:
-			return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
-		}
+	var rid uint64
+	var rp []byte
+	err = awaitRing(ec, f.dom.ID(), f.port, f.r.SetResponseNotify, func() (ok bool, err error) {
+		rid, rp, ok, err = f.r.TryDequeueResponseInto(f.rxBuf[:0])
+		return ok, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	f.rxBuf = rp
+	if rid != id {
+		return nil, fmt.Errorf("vtpm: response id %d for request %d", rid, id)
+	}
+	return f.decodeFrame(rp, seq)
 }
 
 // Close tears the frontend down.
@@ -390,51 +420,25 @@ func (b *Backend) AttachDevice(front xen.DomID) error {
 
 // serve is the per-device service loop, batched: each wakeup drains every
 // pending request off the ring in one pass, dispatches them in order, and
-// publishes the responses as one batch with (at most) one doorbell — the
-// classic Xen RING_FINAL_CHECK shape. While draining, the backend clears the
-// ring's request-notify flag so frontends coalesce their doorbells; before
-// sleeping it re-raises the flag and checks the ring once more, so a request
-// published into the gap is picked up instead of stalling until the poll
-// timeout. Both batches reuse per-device scratch buffers, so a steady stream
-// serves without allocating beyond dispatch itself.
+// publishes the responses as one batch with (at most) one doorbell. Between
+// batches it waits in awaitRing, so frontends skip their doorbells while it
+// is draining. Both batches reuse per-device scratch buffers, so a steady
+// stream serves without allocating beyond dispatch itself.
 func (b *Backend) serve(dev *backendDevice) {
 	defer close(dev.done)
 	ec := b.hv.EventChannels()
 	var req, rsp ring.Batch
+	n := 0
+	poll := func() (bool, error) {
+		var err error
+		n, err = dev.r.DequeueRequestBatchInto(&req, 0)
+		return n > 0, err
+	}
 	for {
-		dev.r.SetRequestNotify(false)
-		// Hot phase: drain and dispatch until the ring stays empty through
-		// the bounded re-poll window (the next request usually lands within
-		// microseconds of the last, so yielding beats sleeping).
-		for spin := 0; spin <= pipeSpinPolls; spin++ {
-			n, err := dev.r.DequeueRequestBatchInto(&req, 0)
-			if err != nil {
-				return // ring closed
-			}
-			if n > 0 {
-				if err := b.serveBatch(dev, &req, &rsp, n); err != nil {
-					return
-				}
-				spin = 0
-				continue
-			}
-			runtime.Gosched()
+		if awaitRing(ec, xen.Dom0, dev.port, dev.r.SetRequestNotify, poll) != nil {
+			return // ring or channel closed
 		}
-		// Going idle: re-enable doorbells, then run the final check before
-		// sleeping so a request published into the gap is never lost.
-		dev.r.SetRequestNotify(true)
-		n, err := dev.r.DequeueRequestBatchInto(&req, 0)
-		if err != nil {
-			return
-		}
-		if n > 0 {
-			if err := b.serveBatch(dev, &req, &rsp, n); err != nil {
-				return
-			}
-			continue
-		}
-		if werr := ec.WaitTimeout(xen.Dom0, dev.port, driverWaitPoll); werr != nil &&
-			!errors.Is(werr, xen.ErrWaitTimeout) {
+		if b.serveBatch(dev, &req, &rsp, n) != nil {
 			return
 		}
 	}
@@ -454,12 +458,7 @@ func (b *Backend) serveBatch(dev *backendDevice, req, rsp *ring.Batch, n int) er
 	if err := dev.r.EnqueueResponseBatch(rsp); err != nil {
 		return err
 	}
-	ec := b.hv.EventChannels()
-	if dev.r.ResponseNotifyWanted() {
-		ec.Notify(xen.Dom0, dev.port) //nolint:errcheck // frontend may be tearing down
-	} else {
-		ec.NoteSuppressed()
-	}
+	ringDoorbell(b.hv.EventChannels(), xen.Dom0, dev.port, dev.r.ResponseNotifyWanted()) //nolint:errcheck // frontend may be tearing down
 	return nil
 }
 

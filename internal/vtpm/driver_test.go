@@ -225,3 +225,24 @@ func TestSetupFailsWhenGuestOutOfMemory(t *testing.T) {
 		t.Fatalf("err = %v, want ErrHandshake (ring larger than guest memory)", err)
 	}
 }
+
+// TestLockstepLeavesNoStaleEvents runs a long lockstep stream and checks the
+// frontend's response-notify flag is kept cleared while it is awake: the
+// backend then rings only for responses the frontend sleeps on, and each such
+// event is consumed by the wait it wakes, so events cannot pile up unread on
+// the frontend's port.
+func TestLockstepLeavesNoStaleEvents(t *testing.T) {
+	hv, _, _, dom, fe, cli := connectDevice(t, &passGuard{})
+	for i := 0; i < 2000; i++ {
+		if _, err := cli.GetRandom(8); err != nil {
+			t.Fatalf("command %d: %v", i, err)
+		}
+	}
+	n, err := hv.EventChannels().Pending(dom.ID(), fe.port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 1 {
+		t.Fatalf("frontend port holds %d unconsumed events after 2000 commands, want <= 1", n)
+	}
+}

@@ -84,7 +84,7 @@ func FuzzPipelineResponseMatch(f *testing.F) {
 			if !p.slots[j].done {
 				continue
 			}
-			out, err := fe.decodeSlot(&p.slots[j])
+			out, err := fe.decodeFrame(p.slots[j].rsp, p.slots[j].seq)
 			if err == nil && len(p.slots[j].rsp) == 0 {
 				t.Fatalf("slot %d decoded an empty response: %x", j, out)
 			}

@@ -1,15 +1,12 @@
 package vtpm
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"xvtpm/internal/metrics"
 	"xvtpm/internal/ring"
-	"xvtpm/internal/xen"
 )
 
 // TransportMetrics instruments the guest transport path: end-to-end guest
@@ -58,12 +55,6 @@ type FrontendConfig struct {
 	// Metrics, when non-nil, receives guest round-trip latencies.
 	Metrics *TransportMetrics
 }
-
-// pipeSpinPolls bounds the optimistic re-poll loop a waiter runs before
-// arming the event-channel timeout: the backend usually answers within a few
-// microseconds, so yielding the processor a bounded number of times catches
-// most responses without ever sleeping.
-const pipeSpinPolls = 64
 
 // pendSlot is one in-flight command in the pipelined frontend's pending
 // table. The ring frame tag (id) matches responses to slots out of order;
@@ -182,13 +173,9 @@ func (f *Frontend) transmitPipelined(cmd []byte) ([]byte, error) {
 	}
 	s.id, s.seq = id, seq
 	p.mu.Unlock()
-	if f.r.RequestNotifyWanted() {
-		if err := f.hv.EventChannels().Notify(f.dom.ID(), f.port); err != nil {
-			f.failSlot(s)
-			return nil, err
-		}
-	} else {
-		f.hv.EventChannels().NoteSuppressed()
+	if err := ringDoorbell(f.hv.EventChannels(), f.dom.ID(), f.port, f.r.RequestNotifyWanted()); err != nil {
+		f.failSlot(s)
+		return nil, err
 	}
 
 	p.mu.Lock()
@@ -212,7 +199,7 @@ func (f *Frontend) transmitPipelined(cmd []byte) ([]byte, error) {
 	}
 	// The slot is ours until used is cleared, so decode outside p.mu.
 	p.mu.Unlock()
-	out, err := f.decodeSlot(s)
+	out, err := f.decodeFrame(s.rsp, s.seq)
 	p.mu.Lock()
 	s.used = false
 	p.mu.Unlock()
@@ -231,11 +218,11 @@ func (f *Frontend) failSlot(s *pendSlot) {
 	f.pipe.slotFree.Signal()
 }
 
-// decodeSlot unwraps a completed slot's framed response. The returned slice
-// is caller-owned (copied or freshly decoded), since the slot is recycled
-// immediately after.
-func (f *Frontend) decodeSlot(s *pendSlot) ([]byte, error) {
-	rp := s.rsp
+// decodeFrame unwraps a framed response carrying channel sequence seq. The
+// returned slice is caller-owned (copied or freshly decoded), since the
+// frame's buffer — a pending slot or the lockstep scratch buffer — is reused
+// for the next command.
+func (f *Frontend) decodeFrame(rp []byte, seq uint64) ([]byte, error) {
 	if len(rp) == 0 {
 		return nil, ErrShortPayload
 	}
@@ -243,50 +230,20 @@ func (f *Frontend) decodeSlot(s *pendSlot) ([]byte, error) {
 	case payloadRaw:
 		return append([]byte(nil), rp[1:]...), nil
 	case payloadEncoded:
-		return f.codec.DecodeResponse(nil, rp[1:], s.seq)
+		return f.codec.DecodeResponse(nil, rp[1:], seq)
 	default:
 		return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
 	}
 }
 
-// drainResponses pulls response batches off the ring until at least one
-// frame is deposited or an error occurs. While running, the frontend's
-// response-notify flag is cleared so the backend coalesces doorbells; it is
-// re-raised on every exit and before every sleep (with a final ring check)
-// so no response is ever announced into silence.
+// drainResponses waits until the ring yields at least one response batch
+// and deposits it into the pending table.
 func (f *Frontend) drainResponses(p *pipeline) error {
-	ec := f.hv.EventChannels()
-	f.r.SetResponseNotify(false)
-	for spin := 0; ; spin++ {
+	return awaitRing(f.hv.EventChannels(), f.dom.ID(), f.port, f.r.SetResponseNotify, func() (bool, error) {
 		n, err := f.r.DequeueResponseBatchInto(&p.rx, 0)
-		if err != nil {
-			f.r.SetResponseNotify(true)
-			return err
-		}
 		if n > 0 {
 			p.depositBatch(n)
-			f.r.SetResponseNotify(true)
-			return nil
 		}
-		if spin < pipeSpinPolls {
-			runtime.Gosched()
-			continue
-		}
-		// About to sleep: re-enable doorbells, then check once more.
-		f.r.SetResponseNotify(true)
-		n, err = f.r.DequeueResponseBatchInto(&p.rx, 0)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			p.depositBatch(n)
-			return nil
-		}
-		if werr := ec.WaitTimeout(f.dom.ID(), f.port, driverWaitPoll); werr != nil &&
-			!errors.Is(werr, xen.ErrWaitTimeout) {
-			return werr
-		}
-		f.r.SetResponseNotify(false)
-		spin = 0
-	}
+		return n > 0, err
+	})
 }

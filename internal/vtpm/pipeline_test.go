@@ -1,6 +1,7 @@
 package vtpm
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -101,30 +102,34 @@ func TestPipelineDepthOneStaysLockstep(t *testing.T) {
 }
 
 // TestPipelineSurvivesDroppedNotifies drops every event-channel notification
-// in both directions: doorbells are gone entirely, so the only thing keeping
-// the device alive is the WaitTimeout re-poll in the backend serve loop and
-// the frontend drain loop. Traffic must still complete.
+// in both directions, for a lockstep and a pipelined frontend: doorbells are
+// gone entirely, so the only thing keeping the device alive is the
+// WaitTimeout re-poll in awaitRing. Traffic must still complete.
 func TestPipelineSurvivesDroppedNotifies(t *testing.T) {
-	hv, _, _, fe, cli := connectPipelined(t, &passGuard{}, FrontendConfig{PipelineDepth: 4})
-	if err := cli.SelfTestFull(); err != nil {
-		t.Fatal(err)
+	for _, depth := range []int{0, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			hv, _, _, _, cli := connectPipelined(t, &passGuard{}, FrontendConfig{PipelineDepth: depth})
+			if err := cli.SelfTestFull(); err != nil {
+				t.Fatal(err)
+			}
+			ec := hv.EventChannels()
+			ec.SetNotifyFault(func(xen.DomID, xen.EvtchnPort) bool { return true })
+			defer ec.SetNotifyFault(nil)
+			// Let the device go fully idle between commands: an idle
+			// backend sleeps with its doorbell flag raised, so each command
+			// sends a real notify — which the hook swallows — and completes
+			// only because WaitTimeout re-polls the ring.
+			for i := 0; i < 5; i++ {
+				time.Sleep(5 * driverWaitPoll)
+				if _, err := cli.GetRandom(8); err != nil {
+					t.Fatalf("command %d: %v", i, err)
+				}
+			}
+			if ec.DroppedNotifies() == 0 {
+				t.Fatal("fault hook never fired; test exercised nothing")
+			}
+		})
 	}
-	ec := hv.EventChannels()
-	ec.SetNotifyFault(func(xen.DomID, xen.EvtchnPort) bool { return true })
-	defer ec.SetNotifyFault(nil)
-	// Let the device go fully idle between commands: an idle backend re-raises
-	// its doorbell flag, so each command sends a real notify — which the hook
-	// swallows — and completes only because WaitTimeout re-polls the ring.
-	for i := 0; i < 5; i++ {
-		time.Sleep(5 * driverWaitPoll)
-		if _, err := cli.GetRandom(8); err != nil {
-			t.Fatalf("command %d: %v", i, err)
-		}
-	}
-	if ec.DroppedNotifies() == 0 {
-		t.Fatal("fault hook never fired; test exercised nothing")
-	}
-	_ = fe
 }
 
 // TestPipelinedTrafficSuppressesDoorbells runs enough overlapping traffic

@@ -20,7 +20,15 @@ var (
 	ErrWaitTimeout = errors.New("xen: event wait timed out")
 )
 
-// channelState is the lifecycle of one event-channel endpoint.
+// errPortClosed is what calls on a port get once it has closed and its
+// endpoint has been freed: the number no longer names a port (ErrBadPort)
+// because the channel closed (ErrChannelClosed), so a waiter that loses the
+// race with Close sees the same closure as one already blocked.
+var errPortClosed = fmt.Errorf("%w: %w", ErrBadPort, ErrChannelClosed)
+
+// channelState is the lifecycle of one event-channel endpoint. A closed
+// endpoint is already out of the port table; only waiters that were blocked
+// on it still hold it.
 type channelState int
 
 const (
@@ -49,7 +57,9 @@ type evtchn struct {
 }
 
 // EventChannels is a host-wide port table shared by all domains, guarded by a
-// single lock (port operations are control-plane, not data-plane).
+// single lock (port operations are control-plane, not data-plane). It holds
+// only open endpoints: closing one frees it, and port numbers are never
+// reused, so a number below next that is missing from the table was closed.
 type EventChannels struct {
 	mu    sync.Mutex
 	ports map[EvtchnPort]*evtchn
@@ -130,6 +140,22 @@ func newEventChannels() *EventChannels {
 	return &EventChannels{ports: make(map[EvtchnPort]*evtchn), next: 1}
 }
 
+// ownedLocked returns caller's open endpoint for port. Called with ec.mu
+// held.
+func (ec *EventChannels) ownedLocked(caller DomID, port EvtchnPort) (*evtchn, error) {
+	ch, ok := ec.ports[port]
+	if !ok {
+		if port > 0 && port < ec.next {
+			return nil, errPortClosed
+		}
+		return nil, ErrBadPort
+	}
+	if ch.owner != caller {
+		return nil, ErrPortMismatch
+	}
+	return ch, nil
+}
+
 // AllocUnbound allocates a port owned by owner awaiting a bind from remote,
 // like EVTCHNOP_alloc_unbound.
 func (ec *EventChannels) AllocUnbound(owner, remote DomID) EvtchnPort {
@@ -176,20 +202,14 @@ func (ec *EventChannels) Notify(caller DomID, port EvtchnPort) error {
 	}
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	ch, ok := ec.ports[port]
-	if !ok {
-		return ErrBadPort
-	}
-	if ch.owner != caller {
-		return ErrPortMismatch
+	ch, err := ec.ownedLocked(caller, port)
+	if err != nil {
+		return err
 	}
 	if ch.state != chanBound {
 		return ErrPortNotBound
 	}
-	peer, ok := ec.ports[ch.peer]
-	if !ok || peer.state != chanBound {
-		return ErrPortNotBound
-	}
+	peer := ec.ports[ch.peer] // bound endpoints close in pairs
 	if ec.notifyFault != nil && ec.notifyFault(caller, port) {
 		ec.dropped++
 		return nil
@@ -205,12 +225,9 @@ func (ec *EventChannels) Notify(caller DomID, port EvtchnPort) error {
 func (ec *EventChannels) Wait(caller DomID, port EvtchnPort) error {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	ch, ok := ec.ports[port]
-	if !ok {
-		return ErrBadPort
-	}
-	if ch.owner != caller {
-		return ErrPortMismatch
+	ch, err := ec.ownedLocked(caller, port)
+	if err != nil {
+		return err
 	}
 	for ch.pending == 0 && ch.state == chanBound {
 		ch.cond.Wait()
@@ -237,12 +254,9 @@ func (ec *EventChannels) Wait(caller DomID, port EvtchnPort) error {
 func (ec *EventChannels) WaitTimeout(caller DomID, port EvtchnPort, d time.Duration) error {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	ch, ok := ec.ports[port]
-	if !ok {
-		return ErrBadPort
-	}
-	if ch.owner != caller {
-		return ErrPortMismatch
+	ch, err := ec.ownedLocked(caller, port)
+	if err != nil {
+		return err
 	}
 	deadline := time.Now().Add(d)
 	for ch.pending == 0 && ch.state == chanBound {
@@ -285,49 +299,40 @@ func (ec *EventChannels) armTimerLocked(ch *evtchn, deadline, now time.Time) {
 func (ec *EventChannels) Pending(caller DomID, port EvtchnPort) (int, error) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	ch, ok := ec.ports[port]
-	if !ok {
-		return 0, ErrBadPort
-	}
-	if ch.owner != caller {
-		return 0, ErrPortMismatch
+	ch, err := ec.ownedLocked(caller, port)
+	if err != nil {
+		return 0, err
 	}
 	return ch.pending, nil
 }
 
-// Close tears down a port and wakes any waiters on it and on its peer.
+// Close tears down a port and its bound peer, freeing both endpoints and
+// waking any waiters on them.
 func (ec *EventChannels) Close(caller DomID, port EvtchnPort) error {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	ch, ok := ec.ports[port]
-	if !ok {
-		return ErrBadPort
+	ch, err := ec.ownedLocked(caller, port)
+	if err != nil {
+		return err
 	}
-	if ch.owner != caller {
-		return ErrPortMismatch
+	if ch.state == chanBound {
+		ec.freeLocked(ch.peer, ec.ports[ch.peer])
 	}
-	wasBound := ch.state == chanBound
-	ch.state = chanClosed
-	stopTimerLocked(ch)
-	ch.cond.Broadcast()
-	if wasBound {
-		if peer, ok := ec.ports[ch.peer]; ok && peer.state == chanBound {
-			peer.state = chanClosed
-			stopTimerLocked(peer)
-			peer.cond.Broadcast()
-		}
-	}
+	ec.freeLocked(port, ch)
 	return nil
 }
 
-// stopTimerLocked stops a port's reusable wake-up timer, if any. A callback
-// already in flight only broadcasts the cond, which closed-port waiters
-// tolerate as a spurious wakeup.
-func stopTimerLocked(ch *evtchn) {
+// freeLocked closes an endpoint and removes it from the port table: its
+// reusable timer is stopped and its waiters wake to ErrChannelClosed (a
+// timer callback already in flight only broadcasts the cond, which they
+// tolerate as a spurious wakeup). Called with ec.mu held.
+func (ec *EventChannels) freeLocked(port EvtchnPort, ch *evtchn) {
+	delete(ec.ports, port)
+	ch.state = chanClosed
 	if ch.timer != nil {
 		ch.timer.Stop()
-		ch.timerDeadline = time.Time{}
 	}
+	ch.cond.Broadcast()
 }
 
 // closeAllFor tears down every port owned by or remoted to dom; used on
@@ -335,11 +340,9 @@ func stopTimerLocked(ch *evtchn) {
 func (ec *EventChannels) closeAllFor(dom DomID) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	for _, ch := range ec.ports {
-		if (ch.owner == dom || ch.remote == dom) && ch.state != chanClosed {
-			ch.state = chanClosed
-			stopTimerLocked(ch)
-			ch.cond.Broadcast()
+	for port, ch := range ec.ports {
+		if ch.owner == dom || ch.remote == dom {
+			ec.freeLocked(port, ch)
 		}
 	}
 }

@@ -156,3 +156,57 @@ func TestDroppedAndSuppressedDoorbellStillDrains(t *testing.T) {
 		t.Fatalf("suppressed = %d, want 1", ec.SuppressedNotifies())
 	}
 }
+
+// TestClosedPortsAreFreed churns channels the way guest create/destroy does
+// and checks the port table does not keep the departed endpoints: closing
+// either end frees the pair, domain destruction frees whatever the domain
+// still had open, and a closed port answers later calls as both bad and
+// closed.
+func TestClosedPortsAreFreed(t *testing.T) {
+	h := newHost(t)
+	g := mkGuest(t, h, "g")
+	ec := h.EventChannels()
+	base := len(ec.ports)
+	for i := 0; i < 1000; i++ {
+		gPort := ec.AllocUnbound(g.ID(), Dom0)
+		d0Port, err := ec.BindInterdomain(Dom0, g.ID(), gPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Arm the port's reusable timer, as a polling driver does.
+		if err := ec.WaitTimeout(g.ID(), gPort, time.Microsecond); !errors.Is(err, ErrWaitTimeout) {
+			t.Fatalf("wait err = %v, want ErrWaitTimeout", err)
+		}
+		closer, port := g.ID(), gPort
+		if i%2 == 1 {
+			closer, port = Dom0, d0Port
+		}
+		if err := ec.Close(closer, port); err != nil {
+			t.Fatal(err)
+		}
+		if err := ec.Notify(Dom0, d0Port); !errors.Is(err, ErrBadPort) || !errors.Is(err, ErrChannelClosed) {
+			t.Fatalf("notify on closed port err = %v, want ErrBadPort and ErrChannelClosed", err)
+		}
+	}
+	if got := len(ec.ports); got != base {
+		t.Fatalf("port table holds %d endpoints after close churn, want %d", got, base)
+	}
+	// Ports still open when the domain dies are freed with it.
+	ec.AllocUnbound(g.ID(), Dom0)
+	gPort := ec.AllocUnbound(g.ID(), Dom0)
+	if _, err := ec.BindInterdomain(Dom0, g.ID(), gPort); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.DestroyDomain(Dom0, g.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ec.ports); got != base {
+		t.Fatalf("port table holds %d endpoints after destroy, want %d", got, base)
+	}
+	if err := ec.Close(g.ID(), gPort); !errors.Is(err, ErrBadPort) {
+		t.Fatalf("close of freed port err = %v, want ErrBadPort", err)
+	}
+	if _, err := ec.Pending(g.ID(), EvtchnPort(1<<30)); !errors.Is(err, ErrBadPort) || errors.Is(err, ErrChannelClosed) {
+		t.Fatalf("never-allocated port err = %v, want ErrBadPort only", err)
+	}
+}

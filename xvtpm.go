@@ -567,14 +567,15 @@ func (h *Host) DestroyGuest(g *Guest) error {
 	return nil
 }
 
-// destroyInstance removes an instance from this host together with the
-// policy rules that name it, so rules do not pile up as guests leave.
+// destroyInstance removes an instance from this host together with what
+// the improved guard keeps for it (rules, channel, rate state), so neither
+// piles up as guests leave.
 func (h *Host) destroyInstance(id vtpm.InstanceID) error {
 	if err := h.Manager.DestroyInstance(id); err != nil {
 		return err
 	}
 	if ig, ok := h.ImprovedGuard(); ok {
-		ig.Policy().DropInstance(id)
+		ig.DropInstance(id)
 	}
 	return nil
 }

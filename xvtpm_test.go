@@ -502,6 +502,35 @@ func TestGuestLifecycleKeepsPolicyBounded(t *testing.T) {
 	wantRules("after destroy", 0)
 }
 
+// TestGuestChurnDropsGuardState creates, uses and destroys guests and checks
+// the improved guard keeps channel and rate state only for the instances
+// still on the host, while a guest created after the churn opens a fresh
+// channel and is served.
+func TestGuestChurnDropsGuardState(t *testing.T) {
+	h := newTestHost(t, "churn", ModeImproved)
+	ig, _ := h.ImprovedGuard()
+	base := ig.InstanceStates()
+	for i := 0; i < 20; i++ {
+		g := newTestGuest(t, h, fmt.Sprintf("churn-%d", i))
+		if _, err := g.TPM.GetRandom(4); err != nil {
+			t.Fatalf("guest %d: %v", i, err)
+		}
+		if err := h.DestroyGuest(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ig.InstanceStates(); got != base {
+		t.Fatalf("guard holds state for %d instances after churn, want %d", got, base)
+	}
+	g := newTestGuest(t, h, "after-churn")
+	if _, err := g.TPM.GetRandom(4); err != nil {
+		t.Fatalf("guest created after churn refused: %v", err)
+	}
+	if got := ig.InstanceStates(); got != base+1 {
+		t.Fatalf("guard holds state for %d instances, want %d", got, base+1)
+	}
+}
+
 func TestHostRequiresNameAndKernel(t *testing.T) {
 	if _, err := NewHost(HostConfig{}); err == nil {
 		t.Fatal("unnamed host accepted")
