@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -375,19 +377,147 @@ func TestPlatformReopenFailsAfterBootTamper(t *testing.T) {
 	}
 }
 
-func TestMigrationKekUnbind(t *testing.T) {
-	_, keys := newPlatform(t, "p4")
-	kek := deriveBytes([]byte("kek"), "x")[:16]
+// hwCommands reads the executed-command count of the hardware TPM behind cli.
+func hwCommands(cli *tpm.Client) uint64 {
+	return cli.Transport().(tpm.DirectTransport).TPM.CommandCount()
+}
+
+// loadedKeys reads how many keys the hardware TPM behind cli holds loaded.
+func loadedKeys(t testing.TB, cli *tpm.Client) uint32 {
+	t.Helper()
+	n, err := cli.LoadedKeyCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// bindTo OAEP-encrypts a 16-byte KEK derived from label to keys' bind key.
+func bindTo(t testing.TB, keys *PlatformKeys, label string) (kek, enc []byte) {
+	t.Helper()
+	kek = deriveBytes([]byte("kek"), label)[:16]
 	enc, err := tpm.BindEncrypt(nil, keys.MigrationPub(), kek)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := keys.UnbindMigrationKek(enc)
-	if err != nil {
-		t.Fatalf("UnbindMigrationKek: %v", err)
+	return kek, enc
+}
+
+// TestMigrationKekUnbind: the bind key stays loaded, so every unbind is
+// exactly one OIAP and one TPM_UnBind — no LoadKey2 or FlushSpecific per
+// call — and the hardware TPM holds exactly that one key across unbinds and
+// across a reopen.
+func TestMigrationKekUnbind(t *testing.T) {
+	cli, keys := newPlatform(t, "p4")
+	kek, enc := bindTo(t, keys, "x")
+	unbind100 := func(pk *PlatformKeys) {
+		t.Helper()
+		if n := loadedKeys(t, cli); n != 1 {
+			t.Fatalf("%d keys loaded before unbinding, want 1", n)
+		}
+		for i := 0; i < 100; i++ {
+			before := hwCommands(cli)
+			got, err := pk.UnbindMigrationKek(enc)
+			if err != nil {
+				t.Fatalf("UnbindMigrationKek %d: %v", i, err)
+			}
+			if !bytes.Equal(got, kek) {
+				t.Fatalf("unbind %d: kek mismatch", i)
+			}
+			if n := hwCommands(cli) - before; n != 2 {
+				t.Fatalf("unbind %d cost %d hardware commands, want 2 (OIAP, UnBind)", i, n)
+			}
+		}
+		if n := loadedKeys(t, cli); n != 1 {
+			t.Fatalf("%d keys loaded after 100 unbinds, want 1", n)
+		}
 	}
-	if !bytes.Equal(got, kek) {
-		t.Fatal("kek mismatch")
+	unbind100(keys)
+	// A manager restart: the old keys are closed, the reopened ones load
+	// the same bind key again.
+	if err := keys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := ReopenPlatformKeys(cli, keys.SealedMaster(), keys.BindBlob(), hwOwner, hwSRK)
+	if err != nil {
+		t.Fatalf("ReopenPlatformKeys: %v", err)
+	}
+	unbind100(re)
+}
+
+// TestBindKeyConcurrentUnbind: many goroutines share the one resident key.
+func TestBindKeyConcurrentUnbind(t *testing.T) {
+	cli, keys := newPlatform(t, "concurrent")
+	const workers = 16
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		kek, enc := bindTo(t, keys, fmt.Sprint("concurrent-", w))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				got, err := keys.UnbindMigrationKek(enc)
+				if err == nil && !bytes.Equal(got, kek) {
+					err = errors.New("kek mismatch")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent unbind: %v", err)
+	}
+	if n := loadedKeys(t, cli); n != 1 {
+		t.Fatalf("%d keys loaded after concurrent unbinds, want 1", n)
+	}
+}
+
+// TestPlatformKeysClose: unbinds racing Close either open the KEK or fail,
+// none reaches another key; Close flushes the bind key, a second Close is a
+// no-op, and an unbind afterwards fails.
+func TestPlatformKeysClose(t *testing.T) {
+	cli, keys := newPlatform(t, "close")
+	kek, enc := bindTo(t, keys, "close")
+	const workers = 8
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if got, err := keys.UnbindMigrationKek(enc); err == nil && !bytes.Equal(got, kek) {
+					errs <- errors.New("kek mismatch")
+					return
+				}
+			}
+		}()
+	}
+	if err := keys.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("unbind racing Close: %v", err)
+	}
+	if n := loadedKeys(t, cli); n != 0 {
+		t.Fatalf("%d keys loaded after Close, want 0", n)
+	}
+	if err := keys.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, err := keys.UnbindMigrationKek(enc); err == nil {
+		t.Fatal("unbind after Close succeeded")
+	}
+	if n := loadedKeys(t, cli); n != 0 {
+		t.Fatalf("%d keys loaded after a post-Close unbind, want 0", n)
 	}
 }
 
@@ -507,6 +637,32 @@ func TestImprovedExportImportAcrossHosts(t *testing.T) {
 	gEve, _ := newImproved(t, "eve-host")
 	if _, err := gEve.ImportState(env); err == nil {
 		t.Fatal("third host imported the envelope")
+	}
+}
+
+// TestImprovedImportRefusesTamperedKek: a migration envelope whose
+// encrypted KEK was altered in transit is refused, and the refusal leaves
+// the resident bind key loaded for the next, honest import.
+func TestImprovedImportRefusesTamperedKek(t *testing.T) {
+	gSrc, _ := newImproved(t, "tamper-src")
+	cli, dstKeys := newPlatform(t, "tamper-dst")
+	gDst := NewImprovedGuard(dstKeys, NewPolicy())
+	state := []byte("instance state to migrate")
+	env, err := gSrc.ExportState(testInstance(2, "traveler"), state, gDst.MigrationIdentity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encKek := tpm.NewReader(env).B32() // the envelope opens with B32(encKek)
+	bad := append([]byte(nil), env...)
+	bad[4+len(encKek)/2] ^= 0x01
+	if _, err := gDst.ImportState(bad); !errors.Is(err, vtpm.ErrStateSealed) {
+		t.Fatalf("tampered KEK: err = %v, want ErrStateSealed", err)
+	}
+	if n := loadedKeys(t, cli); n != 1 {
+		t.Fatalf("%d keys loaded after a refused import, want 1", n)
+	}
+	if got, err := gDst.ImportState(env); err != nil || !bytes.Equal(got, state) {
+		t.Fatalf("honest import after a refused one: %v", err)
 	}
 }
 

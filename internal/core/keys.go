@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
@@ -23,9 +24,10 @@ import (
 //     cannot unseal it;
 //   - per-instance state keys and per-(instance, identity) channel keys,
 //     derived from the master by HMAC — nothing per-guest needs storing;
-//   - a migration bind key whose private half exists only wrapped under the
-//     hardware SRK; inbound migration envelopes are opened by TPM_UnBind
-//     inside the hardware TPM.
+//   - a migration bind key whose private half exists only inside the hardware
+//     TPM: wrapped under the hardware SRK at rest, and loaded there once for
+//     the life of the keys. Inbound migration envelopes are opened by
+//     TPM_UnBind on that resident key; Close flushes it.
 type PlatformKeys struct {
 	hw        *tpm.Client
 	ownerAuth [tpm.AuthSize]byte
@@ -36,6 +38,12 @@ type PlatformKeys struct {
 	sealedMaster []byte
 	bindBlob     []byte // bind key wrapped under the hardware SRK
 	bindPub      *rsa.PublicKey
+	// bindHandle is the bind key's slot in the hardware TPM. It is written
+	// once, at construction, and never cleared: Close flushes the key, and
+	// hardware handles are never reused, so an unbind racing Close fails
+	// cleanly instead of reaching some other key.
+	bindHandle uint32
+	closeOnce  sync.Once
 
 	// fedMaster, when set, replaces the host-local master for *state-envelope*
 	// key derivation: a cluster-wide secret delivered wrapped to this host's
@@ -96,17 +104,10 @@ func SetupPlatformKeys(hw *tpm.Client, platformMeasurement []byte, ownerAuth, sr
 	if err != nil {
 		return nil, fmt.Errorf("core: creating bind key: %w", err)
 	}
-	h, err := hw.LoadKey2(tpm.KHSRK, srkAuth, blob)
-	if err != nil {
-		return nil, err
-	}
-	pub, err := hw.GetPubKey(h, pk.bindAuth)
-	if err != nil {
-		return nil, err
-	}
-	hw.FlushKey(h) //nolint:errcheck // handle cleanup
 	pk.bindBlob = blob
-	pk.bindPub = pub
+	if err := pk.loadBindKey(); err != nil {
+		return nil, err
+	}
 	return pk, nil
 }
 
@@ -128,18 +129,40 @@ func ReopenPlatformKeys(hw *tpm.Client, sealedMaster, bindBlob []byte, ownerAuth
 	}
 	copy(pk.bindAuth[:], deriveBytes(master, "bind-key-auth")[:tpm.AuthSize])
 	if bindBlob != nil {
-		h, err := hw.LoadKey2(tpm.KHSRK, srkAuth, bindBlob)
-		if err != nil {
+		if err := pk.loadBindKey(); err != nil {
 			return nil, err
 		}
-		pub, err := hw.GetPubKey(h, pk.bindAuth)
-		if err != nil {
-			return nil, err
-		}
-		hw.FlushKey(h) //nolint:errcheck // handle cleanup
-		pk.bindPub = pub
 	}
 	return pk, nil
+}
+
+// loadBindKey loads the wrapped bind key into the hardware TPM, where it
+// stays until Close, and reads its public half.
+func (pk *PlatformKeys) loadBindKey() error {
+	h, err := pk.hw.LoadKey2(tpm.KHSRK, pk.srkAuth, pk.bindBlob)
+	if err != nil {
+		return fmt.Errorf("core: loading bind key: %w", err)
+	}
+	pub, err := pk.hw.GetPubKey(h, pk.bindAuth)
+	if err != nil {
+		pk.hw.FlushKey(h) //nolint:errcheck // handle cleanup
+		return fmt.Errorf("core: reading bind key: %w", err)
+	}
+	pk.bindHandle, pk.bindPub = h, pub
+	return nil
+}
+
+// Close flushes the resident bind key from the hardware TPM. Later unbinds
+// (inbound migrations, JoinFederation) fail. Idempotent: only the first
+// call flushes.
+func (pk *PlatformKeys) Close() error {
+	var err error
+	pk.closeOnce.Do(func() {
+		if pk.bindHandle != 0 {
+			err = pk.hw.FlushKey(pk.bindHandle)
+		}
+	})
+	return err
 }
 
 // SealedMaster returns the sealed master blob (persisted by the platform).
@@ -165,7 +188,7 @@ func deriveBytes(secret []byte, label string, extra ...[]byte) []byte {
 // federation secret OAEP-encrypted to this host's migration bind key
 // (tpm.BindEncrypt against MigrationPub); it is unwrapped by TPM_UnBind
 // inside the hardware TPM, so only a host whose platform booted clean — the
-// bind key's private half lives wrapped under the hardware SRK — can join.
+// bind key's private half lives only inside the hardware TPM — can join.
 // Must be called before the host protects any instance state: envelopes
 // sealed under the host-local master beforehand become unopenable once the
 // derivation switches to the federation master.
@@ -208,13 +231,8 @@ func (pk *PlatformKeys) ChannelKeyFor(id vtpm.InstanceID, launch xen.LaunchDiges
 }
 
 // UnbindMigrationKek opens a migration key-encryption-key that was
-// OAEP-encrypted to this host's bind key, by loading the wrapped bind key
-// into the hardware TPM and running TPM_UnBind there.
+// OAEP-encrypted to this host's bind key, by one TPM_UnBind on the bind key
+// resident in the hardware TPM. Safe for concurrent use.
 func (pk *PlatformKeys) UnbindMigrationKek(encKek []byte) ([]byte, error) {
-	h, err := pk.hw.LoadKey2(tpm.KHSRK, pk.srkAuth, pk.bindBlob)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading bind key: %w", err)
-	}
-	defer pk.hw.FlushKey(h) //nolint:errcheck // handle cleanup
-	return pk.hw.UnBind(h, pk.bindAuth, encKek)
+	return pk.hw.UnBind(pk.bindHandle, pk.bindAuth, encKek)
 }

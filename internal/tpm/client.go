@@ -379,19 +379,24 @@ func (c *Client) ReadPubek() (*rsa.PublicKey, error) {
 	return UnmarshalPublicKey(blob)
 }
 
-// GetCapabilityProperty fetches one uint32 property.
-func (c *Client) GetCapabilityProperty(prop uint32) (uint32, error) {
+// getCapability runs TPM_GetCapability for one capability area and
+// sub-capability, returning the response blob.
+func (c *Client) getCapability(area uint32, sub []byte) ([]byte, error) {
 	w := NewWriter()
-	w.U32(CapProperty)
-	sub := NewWriter()
-	sub.U32(prop)
-	w.B32(sub.Bytes())
+	w.U32(area)
+	w.B32(sub)
 	r, err := c.run(OrdGetCapability, w.Bytes())
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	blob := r.B32()
-	if err := r.Err(); err != nil {
+	return blob, r.Err()
+}
+
+// GetCapabilityProperty fetches one uint32 property.
+func (c *Client) GetCapabilityProperty(prop uint32) (uint32, error) {
+	blob, err := c.getCapability(CapProperty, NewWriter().U32(prop).Bytes())
+	if err != nil {
 		return 0, err
 	}
 	return NewReader(blob).U32(), nil
@@ -400,20 +405,21 @@ func (c *Client) GetCapabilityProperty(prop uint32) (uint32, error) {
 // OrdinalSupported asks the TPM whether it implements an ordinal
 // (TPM_CAP_ORD).
 func (c *Client) OrdinalSupported(ordinal uint32) (bool, error) {
-	w := NewWriter()
-	w.U32(CapOrd)
-	sub := NewWriter()
-	sub.U32(ordinal)
-	w.B32(sub.Bytes())
-	r, err := c.run(OrdGetCapability, w.Bytes())
+	blob, err := c.getCapability(CapOrd, NewWriter().U32(ordinal).Bytes())
 	if err != nil {
 		return false, err
 	}
-	blob := r.B32()
-	if err := r.Err(); err != nil {
-		return false, err
-	}
 	return len(blob) == 1 && blob[0] == 1, nil
+}
+
+// LoadedKeyCount reports how many keys are loaded in the TPM's key slots
+// (TPM_CAP_HANDLE), the well-known SRK handle excluded.
+func (c *Client) LoadedKeyCount() (uint32, error) {
+	blob, err := c.getCapability(CapHandle, nil)
+	if err != nil {
+		return 0, err
+	}
+	return NewReader(blob).U32(), nil
 }
 
 // FlushKey evicts a loaded key.

@@ -181,6 +181,12 @@ func marshalPrivateKey(k *rsa.PrivateKey) []byte {
 }
 
 // unmarshalPrivateKey reverses marshalPrivateKey and validates the key.
+// Precompute runs first so the key is set up once: since Go 1.24 it keeps
+// the CRT values only for a key that passes the full consistency check, and
+// Validate then returns at once for such a key. For any other key Precompute
+// leaves it untouched and Validate re-runs the check and reports the
+// failure. Older toolchains' Precompute checks nothing and reduces d modulo
+// p-1 and q-1, so primes below 2 are refused before it runs.
 func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
 	r := NewReader(b)
 	n := new(big.Int).SetBytes(r.B32())
@@ -189,17 +195,20 @@ func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
 	p := new(big.Int).SetBytes(r.B32())
 	q := new(big.Int).SetBytes(r.B32())
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadKey, err)
+	}
+	if p.BitLen() < 2 || q.BitLen() < 2 {
+		return nil, fmt.Errorf("%w: prime factor below 2", ErrBadKey)
 	}
 	k := &rsa.PrivateKey{
 		PublicKey: rsa.PublicKey{N: n, E: int(e)},
 		D:         d,
 		Primes:    []*big.Int{p, q},
 	}
+	k.Precompute()
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadKey, err)
 	}
-	k.Precompute()
 	return k, nil
 }
 

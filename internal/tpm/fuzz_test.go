@@ -5,6 +5,7 @@ import (
 	"crypto"
 	"crypto/rsa"
 	"crypto/sha256"
+	"errors"
 	"testing"
 )
 
@@ -89,6 +90,36 @@ func FuzzUnmarshalPublicKey(f *testing.F) {
 		pub, err := UnmarshalPublicKey(b)
 		if err == nil && (pub.N.Sign() <= 0 || pub.E == 0) {
 			t.Fatal("accepted degenerate key")
+		}
+	})
+}
+
+// FuzzUnmarshalPrivateKey covers the private-key parser behind state
+// restore, LoadKey2 and context load: it must refuse malformed blobs with
+// ErrBadKey, and any blob it accepts must yield a key whose PKCS#1 v1.5
+// SHA-1 signature verifies under its public half.
+func FuzzUnmarshalPrivateKey(f *testing.F) {
+	ek := testEK(f, "fuzz-priv")
+	f.Add(marshalPrivateKey(ek))
+	for _, c := range corruptKeyBlobs(ek) {
+		f.Add(c.blob)
+	}
+	f.Add([]byte{})
+	digest := sha1Sum([]byte("fuzz-priv"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		k, err := unmarshalPrivateKey(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadKey) {
+				t.Fatalf("rejection is not ErrBadKey: %v", err)
+			}
+			return
+		}
+		sig, err := rsa.SignPKCS1v15(nil, k, crypto.SHA1, digest)
+		if err != nil {
+			t.Fatalf("accepted key cannot sign: %v", err)
+		}
+		if err := rsa.VerifyPKCS1v15(&k.PublicKey, crypto.SHA1, digest, sig); err != nil {
+			t.Fatalf("accepted key's signature does not verify: %v", err)
 		}
 	})
 }

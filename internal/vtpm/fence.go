@@ -159,10 +159,7 @@ func (m *Manager) AdoptCheckpoint(origID InstanceID, blob []byte) (InstanceID, e
 	inst := m.newInstance(InstanceInfo{ID: id, Profile: declared, Epoch: epoch}, eng)
 	m.instances[id] = inst
 	m.regMu.Unlock()
-	if err := m.checkpointInstance(inst, true); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return m.firstCheckpoint(id, inst)
 }
 
 // StateName is the store key of an instance's checkpoint blob, exported for

@@ -376,7 +376,16 @@ func (m *Manager) CreateInstanceProfile(p tpm.Profile) (InstanceID, error) {
 	m.regMu.Lock()
 	m.instances[id] = inst
 	m.regMu.Unlock()
+	return m.firstCheckpoint(id, inst)
+}
+
+// firstCheckpoint forces the first checkpoint of an instance just registered
+// under id. If it fails, the instance is destroyed again before the error is
+// returned: no instance may stay registered — on import, holding a decrypted
+// copy of a guest's vTPM — under an ID its caller never learns.
+func (m *Manager) firstCheckpoint(id InstanceID, inst *instance) (InstanceID, error) {
 	if err := m.checkpointInstance(inst, true); err != nil {
+		m.DestroyInstance(id) //nolint:errcheck // the checkpoint failure is the error to report
 		return 0, err
 	}
 	return id, nil

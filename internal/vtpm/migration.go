@@ -102,10 +102,7 @@ func (m *Manager) ImportInstance(img *InstanceImage) (InstanceID, error) {
 	inst := m.newInstance(InstanceInfo{ID: id, BoundLaunch: img.Launch, Profile: declared, Epoch: img.Epoch}, eng)
 	m.instances[id] = inst
 	m.regMu.Unlock()
-	if err := m.checkpointInstance(inst, true); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return m.firstCheckpoint(id, inst)
 }
 
 // Wire framing for the migration channel: magic, then length-prefixed

@@ -406,10 +406,17 @@ func (h *Host) RegisterMetrics(reg *metrics.Registry) error {
 }
 
 // Close releases background resources, draining pending write-behind
-// checkpoints first. A non-nil error means some instance's dirty state
+// checkpoints first, then flushes the improved guard's migration bind key
+// from the hardware TPM. A non-nil error means some instance's dirty state
 // could not be persisted (the aggregate names each one, joined with
 // errors.Join) — shutdown completed, but not silently.
-func (h *Host) Close() error { return h.Manager.Close() }
+func (h *Host) Close() error {
+	err := h.Manager.Close()
+	if h.keys != nil {
+		err = errors.Join(err, h.keys.Close())
+	}
+	return err
+}
 
 // HostStats is a point-in-time operational snapshot for tooling.
 type HostStats struct {

@@ -253,6 +253,46 @@ func TestMigrationPreservesVTPMState(t *testing.T) {
 	})
 }
 
+// TestInboundMigrationUsesResidentBindKey: an improved destination opens a
+// migration envelope with exactly two hardware-TPM commands — OIAP and
+// TPM_UnBind on the bind key it keeps loaded, never reloading it per move —
+// and Host.Close flushes that key.
+func TestInboundMigrationUsesResidentBindKey(t *testing.T) {
+	src := newTestHost(t, "bind-src", ModeImproved)
+	dst := newTestHost(t, "bind-dst", ModeImproved)
+	loaded := func() uint32 {
+		t.Helper()
+		n, err := dst.HW.LoadedKeyCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for i := 0; i < 3; i++ {
+		g := newTestGuest(t, src, fmt.Sprint("mover-", i))
+		before := dst.HWTPM.CommandCount()
+		ng, err := Migrate(src, g, dst)
+		if err != nil {
+			t.Fatalf("Migrate %d: %v", i, err)
+		}
+		if n := dst.HWTPM.CommandCount() - before; n != 2 {
+			t.Fatalf("inbound migration %d cost %d hardware-TPM commands, want 2", i, n)
+		}
+		if err := dst.DestroyGuest(ng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := loaded(); n != 1 {
+		t.Fatalf("%d keys loaded in the destination's hardware TPM, want 1", n)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := loaded(); n != 0 {
+		t.Fatalf("%d keys loaded after Host.Close, want 0", n)
+	}
+}
+
 func TestMigrationOverExplicitConn(t *testing.T) {
 	src := newTestHost(t, "esrc", ModeImproved)
 	dst := newTestHost(t, "edst", ModeImproved)
