@@ -4,7 +4,7 @@
 // E12 checkpoint policy, E13 fault storm, E14 observability overhead,
 // E15 transport pipeline, E16 per-profile sweep, E17 log-structured
 // checkpoint store, E18 federation drain/evacuation/fault-storm, E19
-// open-loop capacity sweep, E20 signing pool & batched attestation),
+// open-loop capacity sweep, E20 signing pool),
 // printed as aligned text tables and series.
 // It also hosts the CI benchmark-regression gate (-bench / -check) and
 // the capacity gate (-capacity-check / -capacity-smoke).

@@ -370,16 +370,10 @@ func (c *console) handle(line string) bool {
 		cs := c.host.Manager.CheckpointStats()
 		c.printf("checkpoint: %d mutations, %d writes (coalesce %.2fx), %d bytes, %d retries\n",
 			cs.Mutations, cs.Checkpoints, cs.CoalesceRatio(), cs.BytesWritten, cs.Retries)
-		if sg := c.host.Manager.SignDebug(); sg != nil {
-			amort := 0.0
-			if sg.BatchSigns > 0 {
-				amort = float64(sg.BatchedQuotes) / float64(sg.BatchSigns)
-			}
-			c.printf("sign:     %d workers, queue %d, in-flight %d; %d singles, %d batches (%d quotes, %.2fx amortized), %d errors; sign p95 %sµs  wait p95 %sµs\n",
-				sg.Workers, sg.QueueDepth, sg.InFlight,
-				sg.SingleSigns, sg.BatchSigns, sg.BatchedQuotes, amort, sg.Errors,
-				metrics.Micros(sg.SignTime.P95), metrics.Micros(sg.Wait.P95))
-		}
+		sg := c.host.Manager.SignDebug()
+		c.printf("sign:     %d workers, queue %d, in-flight %d; %d signs, %d errors; sign p95 %sµs  wait p95 %sµs\n",
+			sg.Workers, sg.QueueDepth, sg.InFlight, sg.SingleSigns, sg.Errors,
+			metrics.Micros(sg.SignTime.P95), metrics.Micros(sg.Wait.P95))
 		if sd := c.host.Manager.StoreDebug(); sd != nil {
 			c.printf("store:    %s backend, %d segments, %d commits (coalesce %.2fx), %d/%d live/disk bytes, debt %d, %d compactions\n",
 				sd.Backend, sd.Segments, sd.Commits, sd.CoalesceRatio,

@@ -163,9 +163,7 @@ func (v *Verifier) VerifyQuote(cert *AIKCert, nonce [tpm.NonceSize]byte, q *tpm.
 		return fmt.Errorf("%w: %v", ErrBadQuote, err)
 	}
 	composite := tpm.CompositeHash(sel, vals)
-	// Accepts both plain signatures and XBQ1 Merkle-batched blobs (one
-	// signing-pool root signature plus this quote's inclusion proof).
-	if err := tpm.VerifyBatchedQuote(aikPub, tpm.QuoteInfoDigest(composite, nonce), q.Signature); err != nil {
+	if err := tpm.VerifySHA1(aikPub, tpm.QuoteInfoDigest(composite, nonce), q.Signature); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadQuote, err)
 	}
 	// Map selection indices to values (vals are in ascending index order).

@@ -1,7 +1,11 @@
 package attest
 
 import (
+	"crypto"
+	"crypto/rand"
+	"crypto/rsa"
 	"crypto/sha1"
+	"crypto/sha256"
 	"errors"
 	"testing"
 
@@ -213,5 +217,99 @@ func TestAttestationRejectsForeignAIK(t *testing.T) {
 	}
 	if err := verifier.VerifyQuote(r1.cert, nonce, q); !errors.Is(err, ErrBadQuote) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// merkleBatchedSig hand-builds a signature in the retired XBQ1
+// Merkle-batched form: digest as leaf 0 of a two-leaf batch, under a root
+// signature that is valid for key. Leaves are H(0x00 ∥ count ∥ index ∥
+// digest), the root is H(0x01 ∥ leaf0 ∥ leaf1), and the blob is "XBQ1" ∥
+// hashLen ∥ count ∥ index ∥ 1 ∥ (dir 0 ∥ leaf1) ∥ B32(rootSig).
+func merkleBatchedSig(t *testing.T, key *rsa.PrivateKey, hash crypto.Hash, digest []byte) []byte {
+	t.Helper()
+	leaf := func(index uint32, d []byte) []byte {
+		h := hash.New()
+		h.Write(tpm.NewWriter().U8(0).U32(2).U32(index).Raw(d).Bytes())
+		return h.Sum(nil)
+	}
+	sibling := leaf(1, []byte("another quote in the batch"))
+	root := hash.New()
+	root.Write(tpm.NewWriter().U8(1).Raw(leaf(0, digest)).Raw(sibling).Bytes())
+	rootSig, err := rsa.SignPKCS1v15(rand.Reader, key, hash, root.Sum(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tpm.NewWriter().Raw([]byte("XBQ1")).U8(byte(hash.Size())).U32(2).U32(0).
+		U8(1).U8(0).Raw(sibling).B32(rootSig).Bytes()
+}
+
+// TestVerifiersRefuseMerkleBatchedQuote checks that both quote verifiers
+// accept only the plain RSASSA-PKCS1-v1_5 signature: a Merkle-batched blob
+// over the same digest, though its root signature is valid under the key,
+// is refused by the 1.2 Verifier (AIK certified by the CA) and by the 2.0
+// tpm.VerifyQuote2.
+func TestVerifiersRefuseMerkleBatchedQuote(t *testing.T) {
+	aik, err := rsa.GenerateKey(rand.Reader, testBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ek, err := rsa.GenerateKey(rand.Reader, testBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := NewPrivacyCA(testBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ca.Challenge(&ek.PublicKey, &aik.PublicKey); err != nil {
+		t.Fatal(err)
+	}
+	cert, err := ca.Issue(&aik.PublicKey, ca.pending[sha1.Sum(tpm.MarshalPublicKey(&aik.PublicKey))])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// TPM 1.2: TPM_Quote over one PCR.
+	v := NewVerifier(ca.PublicKey(), nil)
+	sel := tpm.NewPCRSelection(0)
+	vals := [][tpm.DigestSize]byte{sha1.Sum([]byte("bios"))}
+	comp := tpm.NewWriter()
+	sel.Marshal(comp)
+	comp.U32(tpm.DigestSize).Raw(vals[0][:])
+	quote12 := func(sign func(digest []byte) []byte) error {
+		nonce, err := v.Challenge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := tpm.QuoteInfoDigest(tpm.CompositeHash(sel, vals), nonce)
+		return v.VerifyQuote(cert, nonce, &tpm.QuoteResult{Composite: comp.Bytes(), Signature: sign(digest)})
+	}
+	if err := quote12(func(d []byte) []byte {
+		sig, err := rsa.SignPKCS1v15(rand.Reader, aik, crypto.SHA1, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}); err != nil {
+		t.Fatalf("1.2: plain quote refused: %v", err)
+	}
+	if err := quote12(func(d []byte) []byte {
+		return merkleBatchedSig(t, aik, crypto.SHA1, d)
+	}); !errors.Is(err, ErrBadQuote) {
+		t.Fatalf("1.2: Merkle-batched quote: err = %v, want ErrBadQuote", err)
+	}
+
+	// TPM 2.0: TPM2_Quote over a TPMS_ATTEST.
+	quoted := []byte("TPMS_ATTEST stand-in")
+	digest := sha256.Sum256(quoted)
+	plain, err := rsa.SignPKCS1v15(rand.Reader, aik, crypto.SHA256, digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tpm.VerifyQuote2(&aik.PublicKey, quoted, plain); err != nil {
+		t.Fatalf("2.0: plain quote refused: %v", err)
+	}
+	if err := tpm.VerifyQuote2(&aik.PublicKey, quoted, merkleBatchedSig(t, aik, crypto.SHA256, digest[:])); err == nil {
+		t.Fatal("2.0: Merkle-batched quote accepted")
 	}
 }

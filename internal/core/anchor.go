@@ -146,6 +146,16 @@ func UnmarshalPolicy(data []byte) (*Policy, error) {
 		return nil, fmt.Errorf("core: not a policy blob")
 	}
 	n := r.U32()
+	// The rule count comes off the wire: bound it by the bytes that remain
+	// (identity, instance, profile unless legacy, empty group, ordinal,
+	// effect per rule) before it sizes an allocation.
+	minRule := len(AnyIdentity) + 4 + 1 + 2 + 4 + 1
+	if legacy {
+		minRule--
+	}
+	if r.Err() == nil && uint64(n)*uint64(minRule) > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("core: %d rules claimed in %d bytes", n, r.Remaining())
+	}
 	rules := make([]Rule, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		var rule Rule

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"xvtpm/internal/tpm"
@@ -168,5 +169,18 @@ func TestUnmarshalPolicyRejectsGarbage(t *testing.T) {
 	bad[len(bad)-1] = 7
 	if _, err := UnmarshalPolicy(bad); err == nil {
 		t.Fatal("invalid effect accepted")
+	}
+	// A 9-byte blob claiming 10^6 rules is refused without sizing an
+	// allocation from the claim.
+	claim := append(append([]byte(nil), blob[:len(policyMagic)]...), 0x00, 0x0f, 0x42, 0x40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalPolicy(claim)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("over-claimed rule count accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("refusing a %d-byte policy allocated %d bytes", len(claim), d)
 	}
 }

@@ -382,31 +382,15 @@ func RunBenchSuite(cfg Config, names ...string) (*BenchReport, error) {
 		add("SpanRecord", res, 0)
 	}
 
-	// Signing-pool rows (DESIGN.md §14): the quote path with the RSA
-	// signature on the pool. QuoteSignPooled is one sequential client on an
-	// otherwise idle engine — the deferred handoff must not tax the
-	// single-quote cost. QuoteBatchAmortized is 8 concurrent quote streams
-	// against one key through a batching pool — the Merkle batch must
-	// amortize the signature across its members, which the synthetic
-	// QuoteBatchSpeedup gate (current-run ratio of the two rows) enforces.
-	for _, sc := range []struct {
-		name    string
-		poolCfg tpm.SignPoolConfig
-		streams int
-	}{
-		{"QuoteSignPooled", tpm.SignPoolConfig{Workers: 2}, 1},
-		{"QuoteBatchAmortized", tpm.SignPoolConfig{
-			Workers: 2, BatchWindow: 2 * time.Millisecond, BatchMax: 8,
-		}, 8},
-	} {
-		if !wanted(sc.name) {
-			continue
-		}
-		res, err := signPoolBench(cfg, sc.poolCfg, sc.streams)
+	// Signing-pool row (DESIGN.md §14): the quote path with the RSA
+	// signature on the pool, one sequential client on an otherwise idle
+	// engine — the deferred handoff must not tax the single-quote cost.
+	if wanted("QuoteSignPooled") {
+		res, err := signPoolBench(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.name, err)
+			return nil, fmt.Errorf("QuoteSignPooled: %w", err)
 		}
-		add(sc.name, res, 0)
+		add("QuoteSignPooled", res, 0)
 	}
 
 	// Store rows: the log-structured backend's three hot paths — concurrent
@@ -745,12 +729,10 @@ func guestProfileBench(cfg Config, profile tpm.Profile, setup func(*xvtpm.Guest)
 }
 
 // signPoolBench builds a direct-transport 1.2 engine whose signatures run
-// through pool, provisions one signing key, and measures Quote across
-// `streams` concurrent clients sharing that key — same-key streams are
-// what the pool's Merkle batches coalesce. One stream benchmarks the
-// sequential deferred path.
-func signPoolBench(cfg Config, poolCfg tpm.SignPoolConfig, streams int) (testing.BenchmarkResult, error) {
-	pool := tpm.NewSignPool(poolCfg)
+// through a default signing pool, provisions one signing key, and measures
+// sequential Quote on the deferred path.
+func signPoolBench(cfg Config) (testing.BenchmarkResult, error) {
+	pool := tpm.NewSignPool(tpm.SignPoolConfig{})
 	defer pool.Close()
 	eng, err := tpm.NewEngine(tpm.Profile12, tpm.Config{
 		RSABits: cfg.bits(), Seed: []byte("benchgate-sign"), Signer: pool,
@@ -778,45 +760,27 @@ func signPoolBench(cfg Config, poolCfg tpm.SignPoolConfig, streams int) (testing
 		return testing.BenchmarkResult{}, err
 	}
 	sel := tpm.NewPCRSelection(0, 1, 10)
-	quote := func(c *tpm.Client, n uint64) error {
+	quote := func(n int) error {
 		var nonce [tpm.NonceSize]byte
 		nonce[0], nonce[1], nonce[2] = byte(n), byte(n>>8), byte(n>>16)
-		_, err := c.Quote(key, auth, nonce, sel)
+		_, err := cli.Quote(key, auth, nonce, sel)
 		return err
 	}
 	for i := 0; i < 20; i++ { // warm the codec and the pool's worker path
-		if err := quote(cli, uint64(i)); err != nil {
+		if err := quote(i); err != nil {
 			return testing.BenchmarkResult{}, err
 		}
 	}
 	var benchErr error
-	var res testing.BenchmarkResult
-	if streams <= 1 {
-		res = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := quote(cli, uint64(i)); err != nil {
-					benchErr = err
-					b.FailNow()
-				}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := quote(i); err != nil {
+				benchErr = err
+				b.FailNow()
 			}
-		})
-	} else {
-		var next atomic.Uint64
-		res = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetParallelism(streams)
-			b.RunParallel(func(pb *testing.PB) {
-				c := tpm.NewClient(tpm.DirectTransport{TPM: eng}, nil)
-				for pb.Next() {
-					if err := quote(c, next.Add(1)); err != nil {
-						benchErr = err
-						return
-					}
-				}
-			})
-		})
-	}
+		}
+	})
 	if benchErr != nil {
 		return testing.BenchmarkResult{}, benchErr
 	}
@@ -938,19 +902,6 @@ const (
 	ceilingGatedNote    = "ceiling-gated (see " + blackoutCeilingGate + ")"
 )
 
-// The batched-quote amortization promise, gated within one run like the
-// pipeline speedup: 8 same-key quote streams through the batching pool
-// must sustain at least quoteBatchSpeedupMin times the sequential pooled
-// quote rate. The floor is deliberately far under the ideal (≈ batch
-// size) so batch-composition jitter never flaps the gate, while a broken
-// batcher (every quote signed alone) still lands well below it.
-const (
-	benchQuotePooledName  = "QuoteSignPooled"
-	benchQuoteBatchName   = "QuoteBatchAmortized"
-	quoteBatchSpeedupMin  = 1.3
-	quoteBatchSpeedupGate = "QuoteBatchSpeedup"
-)
-
 // ceilingGated reports whether a row is exempt from the absolute ns/op
 // tolerance because it is covered by an absolute-ceiling gate instead.
 func ceilingGated(name string) bool {
@@ -967,10 +918,6 @@ func ceilingGated(name string) bool {
 func rowTolerance(name string, tolerance float64) float64 {
 	switch name {
 	case "DrainThroughput", "EvacuateDeadHost":
-		return 2 * tolerance
-	case benchQuoteBatchName:
-		// Concurrent batch composition depends on scheduler interleaving;
-		// the amortization promise itself is held by QuoteBatchSpeedup.
 		return 2 * tolerance
 	}
 	return tolerance
@@ -1053,24 +1000,6 @@ func CompareBench(base, cur *BenchReport, tolerance float64) (deltas []BenchDelt
 		} else {
 			d.Reason = fmt.Sprintf("depth-8 sustains %.2fx the lockstep rate (floor %.1fx)",
 				ratio, pipelineSpeedupMin)
-		}
-		deltas = append(deltas, d)
-	}
-	// The batch-amortization gate: within the current run, the concurrent
-	// batched quote streams must beat the sequential pooled quote rate.
-	pooled, hasPooled := byName[benchQuotePooledName]
-	batched, hasBatched := byName[benchQuoteBatchName]
-	if hasPooled && hasBatched && batched.NsPerOp > 0 {
-		ratio := pooled.NsPerOp / batched.NsPerOp
-		d := BenchDelta{Name: quoteBatchSpeedupGate, Synthetic: true}
-		if ratio < quoteBatchSpeedupMin {
-			d.Fail = true
-			d.Reason = fmt.Sprintf("batched quotes sustain only %.2fx the pooled sequential rate (floor %.1fx)",
-				ratio, quoteBatchSpeedupMin)
-			ok = false
-		} else {
-			d.Reason = fmt.Sprintf("batched quotes sustain %.2fx the pooled sequential rate (floor %.1fx)",
-				ratio, quoteBatchSpeedupMin)
 		}
 		deltas = append(deltas, d)
 	}

@@ -30,7 +30,6 @@ skew 1000
 servers 4
 signworkers 4
 jitter 0.2
-signbatch 200µs 32
 mix extend:40 getrandom:35 seal:15 quote:10
 service extend:5µs getrandom:6µs seal:60µs quote:130µs
 signcost quote:115µs

@@ -1,27 +1,23 @@
 package experiments
 
-// E20 — signing pool & batched attestation (extension; DESIGN.md §14).
-// PR 10 moves RSA private-key operations off the dispatch critical path:
-// quotes snapshot their digest under the instance lock, release it, and
-// complete when a pooled worker delivers the signature — with concurrent
-// same-key quotes sharing one signature over a Merkle batch root. E20
-// quantifies what that buys and proves the batched form verifies:
+// E20 — signing pool (extension; DESIGN.md §14). The signing pool moves
+// RSA private-key operations off the dispatch critical path: quotes
+// snapshot their digest under the instance lock, release it, and complete
+// when a pooled worker delivers the plain signature. E20 quantifies what
+// that buys and proves the pooled quote verifies like the inline one:
 //
 //   - Model: the committed capacity-gate scenario replayed with the sign
 //     pool on and off. The knee must move by at least 1.5×, and the
 //     dispatch-lane busy time attributed to Quote must fall below Extend
 //     and GetRandom combined (it dominates them inline).
-//   - Real engine: per-quote cost inline vs pooled vs 8 concurrent
-//     batched streams, measured end-to-end through AIK enrollment and
-//     attest.Verifier — every quote, batched or not, must verify, with
-//     zero equivalence failures.
+//   - Real engine: per-quote cost inline vs pooled, measured end-to-end
+//     through AIK enrollment and attest.Verifier — every quote must
+//     verify, with zero equivalence failures.
 //   - Fleet create: instance creation against the background-replenished
 //     key pool vs cold keygen (the E3 ablation at fleet granularity).
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xvtpm"
@@ -44,13 +40,10 @@ type E20Report struct {
 	ExtendRandomBusyShare float64
 
 	// Real-engine quote cost, end to end (enroll-verified), in µs.
-	InlineQuoteUs   float64
-	PooledQuoteUs   float64
-	BatchedQuoteUs  float64
-	BatchAmortRatio float64 // pooled sequential / batched concurrent
+	InlineQuoteUs float64
+	PooledQuoteUs float64
 	// Attestation outcomes over every quote issued above.
 	QuotesVerified      int
-	QuotesBatched       int
 	EquivalenceFailures int
 
 	// Fleet create against the background key pool.
@@ -118,7 +111,7 @@ func e20BusyShare(s *loadgen.Scenario, pooled bool, ops ...workload.Op) float64 
 // minus the guest transport, so the quote path under test is the engine
 // plus (optionally) the signing pool.
 type e20Rig struct {
-	eng      tpm.Engine
+	cli      *tpm.Client
 	verifier *attest.Verifier
 	cert     *attest.AIKCert
 	aik      uint32
@@ -126,63 +119,54 @@ type e20Rig struct {
 	sel      tpm.PCRSelection
 }
 
-func newE20Rig(bits int, seed string, pool *tpm.SignPool) (*e20Rig, *tpm.Client, error) {
+func newE20Rig(bits int, seed string, pool *tpm.SignPool) (*e20Rig, error) {
 	eng, err := tpm.NewEngine(tpm.Profile12, tpm.Config{
 		RSABits: bits, Seed: []byte(seed), Signer: pool,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cli := tpm.NewClient(tpm.DirectTransport{TPM: eng}, nil)
 	if err := cli.Startup(tpm.STClear); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ekPub, err := cli.ReadPubek()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var owner, srk, aikAuth [tpm.AuthSize]byte
 	copy(owner[:], "e20-owner")
 	copy(srk[:], "e20-srk")
 	copy(aikAuth[:], "e20-aik")
 	if _, err := cli.TakeOwnership(owner, srk); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ca, err := attest.NewPrivacyCA(bits)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cert, aik, err := attest.Enroll(cli, ca, ekPub, owner, srk, aikAuth, "e20-aik")
 	if err != nil {
-		return nil, nil, fmt.Errorf("enrollment: %w", err)
+		return nil, fmt.Errorf("enrollment: %w", err)
 	}
 	return &e20Rig{
-		eng: eng, verifier: attest.NewVerifier(ca.PublicKey(), nil),
+		cli: cli, verifier: attest.NewVerifier(ca.PublicKey(), nil),
 		cert: cert, aik: aik, aikAuth: aikAuth,
 		sel: tpm.NewPCRSelection(0, 1, 10),
-	}, cli, nil
+	}, nil
 }
 
-// client opens another concurrent stream into the rig's engine.
-func (r *e20Rig) client() *tpm.Client {
-	return tpm.NewClient(tpm.DirectTransport{TPM: r.eng}, nil)
-}
-
-// quote runs one challenge → quote → verify round trip and reports
-// whether the signature arrived in Merkle-batched form.
-func (r *e20Rig) quote(c *tpm.Client) (batched bool, err error) {
+// quote runs one challenge → quote → verify round trip.
+func (r *e20Rig) quote() error {
 	nonce, err := r.verifier.Challenge()
 	if err != nil {
-		return false, err
+		return err
 	}
-	q, err := c.Quote(r.aik, r.aikAuth, nonce, r.sel)
+	q, err := r.cli.Quote(r.aik, r.aikAuth, nonce, r.sel)
 	if err != nil {
-		return false, err
+		return err
 	}
-	if err := r.verifier.VerifyQuote(r.cert, nonce, q); err != nil {
-		return false, err
-	}
-	return tpm.IsBatchedQuote(q.Signature), nil
+	return r.verifier.VerifyQuote(r.cert, nonce, q)
 }
 
 // E20SignPool runs the three phases and renders the summary table.
@@ -199,7 +183,6 @@ func E20SignPool(cfg Config) (*E20Report, error) {
 	}
 	inline := *pooled
 	inline.SignWorkers, inline.SignCost = 0, nil
-	inline.SignBatchWindow, inline.SignBatchMax = 0, 0
 	if rep.KneeInline, err = e20Knee(&inline); err != nil {
 		return nil, fmt.Errorf("E20 inline sweep: %w", err)
 	}
@@ -222,86 +205,30 @@ func E20SignPool(cfg Config) (*E20Report, error) {
 	// Phase 2 — real engine, end to end through the attest package.
 	reps := cfg.reps(60, 8)
 	seqRun := func(seed string, pool *tpm.SignPool) (float64, error) {
-		rig, cli, err := newE20Rig(cfg.bits(), seed, pool)
+		rig, err := newE20Rig(cfg.bits(), seed, pool)
 		if err != nil {
 			return 0, err
 		}
 		rec := metrics.NewRecorder()
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			batched, err := rig.quote(cli)
-			if err != nil {
+			if err := rig.quote(); err != nil {
 				rep.EquivalenceFailures++
 				return 0, err
 			}
 			rec.Add(time.Since(start))
 			rep.QuotesVerified++
-			if batched {
-				rep.QuotesBatched++
-			}
 		}
 		return float64(rec.Percentile(50).Nanoseconds()) / 1e3, nil
 	}
 	if rep.InlineQuoteUs, err = seqRun("e20-inline", nil); err != nil {
 		return nil, fmt.Errorf("E20 inline quotes: %w", err)
 	}
-	seqPool := tpm.NewSignPool(tpm.SignPoolConfig{Workers: 2})
-	rep.PooledQuoteUs, err = seqRun("e20-pooled", seqPool)
-	seqPool.Close()
+	pool := tpm.NewSignPool(tpm.SignPoolConfig{})
+	rep.PooledQuoteUs, err = seqRun("e20-pooled", pool)
+	pool.Close()
 	if err != nil {
 		return nil, fmt.Errorf("E20 pooled quotes: %w", err)
-	}
-
-	// The batched rig: 8 concurrent same-key streams through a batching
-	// pool. Every response is independently challenge-verified; at least
-	// one must arrive Merkle-batched or the window never coalesced.
-	batchPool := tpm.NewSignPool(tpm.SignPoolConfig{
-		Workers: 2, BatchWindow: 2 * time.Millisecond, BatchMax: 8,
-	})
-	defer batchPool.Close()
-	rig, _, err := newE20Rig(cfg.bits(), "e20-batched", batchPool)
-	if err != nil {
-		return nil, fmt.Errorf("E20 batched rig: %w", err)
-	}
-	const streams = 8
-	var wg sync.WaitGroup
-	var verified, batchedN, failures atomic.Int64
-	errCh := make(chan error, streams)
-	start := time.Now()
-	for w := 0; w < streams; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := rig.client()
-			for i := 0; i < reps; i++ {
-				batched, err := rig.quote(c)
-				if err != nil {
-					failures.Add(1)
-					errCh <- err
-					return
-				}
-				verified.Add(1)
-				if batched {
-					batchedN.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	rep.QuotesVerified += int(verified.Load())
-	rep.QuotesBatched += int(batchedN.Load())
-	rep.EquivalenceFailures += int(failures.Load())
-	if rep.EquivalenceFailures > 0 {
-		return nil, fmt.Errorf("E20: %d of %d batched-stream quotes failed verification: %w",
-			rep.EquivalenceFailures, streams*reps, <-errCh)
-	}
-	if rep.QuotesBatched == 0 {
-		return nil, fmt.Errorf("E20: no quote arrived Merkle-batched across %d concurrent streams", streams)
-	}
-	rep.BatchedQuoteUs = float64(elapsed.Nanoseconds()) / float64(streams*reps) / 1e3
-	if rep.BatchedQuoteUs > 0 {
-		rep.BatchAmortRatio = rep.PooledQuoteUs / rep.BatchedQuoteUs
 	}
 
 	// Phase 3 — fleet create with and without the background key pool.
@@ -340,17 +267,15 @@ func E20SignPool(cfg Config) (*E20Report, error) {
 
 	if cfg.Out != nil {
 		row := func(metric, value string) []string { return []string{metric, value} }
-		metrics.Table(cfg.Out, "E20 (extension) — signing pool: offloaded quotes, Merkle batching, key pool",
+		metrics.Table(cfg.Out, "E20 (extension) — signing pool: offloaded quotes, key pool",
 			[]string{"metric", "value"}, [][]string{
 				row("modeled knee", fmt.Sprintf("%.0f/s inline → %.0f/s pooled (%.2fx, floor 1.5x, SLOs unchanged)",
 					rep.KneeInline, rep.KneePooled, rep.KneeRatio)),
 				row("quote busy share", fmt.Sprintf("%.1f%% inline → %.1f%% pooled (extend+getrandom %.1f%%)",
 					100*rep.QuoteBusyShareInline, 100*rep.QuoteBusyShare, 100*rep.ExtendRandomBusyShare)),
 				row("quote+verify median", fmt.Sprintf("inline %.0fµs, pooled %.0fµs", rep.InlineQuoteUs, rep.PooledQuoteUs)),
-				row("batched streams", fmt.Sprintf("8×%d quotes at %.0fµs/quote (%.2fx the sequential pooled rate)",
-					reps, rep.BatchedQuoteUs, rep.BatchAmortRatio)),
-				row("attestation", fmt.Sprintf("%d verified (%d Merkle-batched), %d failures",
-					rep.QuotesVerified, rep.QuotesBatched, rep.EquivalenceFailures)),
+				row("attestation", fmt.Sprintf("%d verified, %d failures",
+					rep.QuotesVerified, rep.EquivalenceFailures)),
 				row("fleet create", fmt.Sprintf("%d instances: %.3fs cold keygen → %.3fs key pool (%.1fx)",
 					rep.FleetN, rep.CreateNoPoolSecs, rep.CreatePoolSecs, rep.CreateSpeedup)),
 			})

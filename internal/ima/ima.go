@@ -130,10 +130,18 @@ func Marshal(entries []Entry) []byte {
 	return w.Bytes()
 }
 
-// Unmarshal reverses Marshal.
+// minEntrySize is the smallest marshaled entry: an empty path's length
+// prefix plus the file hash.
+const minEntrySize = 2 + tpm.DigestSize
+
+// Unmarshal reverses Marshal. The entry count comes off the wire, so it is
+// checked against the bytes that remain before it sizes an allocation.
 func Unmarshal(b []byte) ([]Entry, error) {
 	r := tpm.NewReader(b)
 	n := r.U32()
+	if r.Err() == nil && uint64(n)*minEntrySize > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("ima: %d entries claimed in %d bytes", n, r.Remaining())
+	}
 	entries := make([]Entry, 0, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		var e Entry

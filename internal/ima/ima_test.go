@@ -3,6 +3,7 @@ package ima
 import (
 	"crypto/sha1"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,18 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	blob := Marshal([]Entry{{Path: "/a"}})
 	if _, err := Unmarshal(append(blob, 9)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+	// A 4-byte list claiming 10^6 entries is refused without sizing an
+	// allocation from the claim.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal([]byte{0x00, 0x0f, 0x42, 0x40})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("over-claimed entry count accepted")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("refusing a 4-byte list allocated %d bytes", d)
 	}
 }
 

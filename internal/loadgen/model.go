@@ -32,18 +32,9 @@ type ModelConfig struct {
 	// entry pays only its prep share (service − sign cost) on the
 	// dispatch lane; the private-key operation is handed to one of
 	// SignWorkers dedicated sign lanes, mirroring the deferred-execution
-	// split in vtpm dispatch. With a positive SignBatchWindow, jobs of
-	// the same op that become ready within the window share one modeled
-	// signature (the Merkle-batched quote path); a batch seals when the
-	// window expires or SignBatchMax jobs have joined, whichever is
-	// first. The model batches across the whole fleet — an idealization
-	// of the real pool's per-key grouping that the skewed fleets used by
-	// the capacity scenarios (a few hot guests dominating the quote
-	// stream) approach in practice.
-	SignWorkers     int
-	SignCost        map[workload.Op]time.Duration
-	SignBatchWindow time.Duration
-	SignBatchMax    int
+	// split in vtpm dispatch.
+	SignWorkers int
+	SignCost    map[workload.Op]time.Duration
 
 	// StallAt/StallFor freeze every server for a window — the scenario
 	// the coordinated-omission test exercises: an open-loop recorder
@@ -210,7 +201,7 @@ func RunModel(cfg ModelConfig) (*Report, error) {
 	}
 
 	if len(signJobs) > 0 {
-		if d := runSignLanes(signJobs, cfg.SignWorkers, signNs, int64(cfg.SignBatchWindow), cfg.SignBatchMax, col); d > lastDone {
+		if d := runSignLanes(signJobs, cfg.SignWorkers, signNs, col); d > lastDone {
 			lastDone = d
 		}
 	}
@@ -230,56 +221,31 @@ type signJob struct {
 	op    workload.Op
 }
 
-// runSignLanes drains the deferred sign jobs through the modeled sign
-// pool: jobs of the same op that become ready within the batch window
-// share one signature; each member's completion is the batch's. Returns
-// the last completion time.
-func runSignLanes(jobs []signJob, workers int, signNs []int64, window int64, batchMax int, col *collector) int64 {
+// runSignLanes drains the deferred sign jobs, in ready order, through the
+// modeled sign pool: each job takes the earliest-free sign lane, and its
+// completion is when the response lands. Returns the last completion time.
+func runSignLanes(jobs []signJob, workers int, signNs []int64, col *collector) int64 {
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].ready < jobs[j].ready })
-	if batchMax <= 0 {
-		batchMax = 16
-	}
 	lanes := make([]int64, workers)
 	var lastDone int64
-	for i := 0; i < len(jobs); {
-		// Batch membership: same op, ready before the leader's window
-		// expires, capped at batchMax (which also seals the batch early).
-		j := i + 1
-		if window > 0 {
-			deadline := jobs[i].ready + window
-			for j < len(jobs) && j-i < batchMax && jobs[j].op == jobs[i].op && jobs[j].ready <= deadline {
-				j++
-			}
-		}
-		sealAt := jobs[i].ready
-		if window > 0 {
-			if j-i >= batchMax {
-				sealAt = jobs[j-1].ready
-			} else {
-				sealAt = jobs[i].ready + window
-			}
-		}
+	for _, jb := range jobs {
 		lane := 0
 		for l := 1; l < len(lanes); l++ {
 			if lanes[l] < lanes[lane] {
 				lane = l
 			}
 		}
-		begin := sealAt
+		begin := jb.ready
 		if lanes[lane] > begin {
 			begin = lanes[lane]
 		}
-		done := begin + signNs[jobs[i].op] // one signature covers the batch
+		done := begin + signNs[jb.op]
 		lanes[lane] = done
 		if done > lastDone {
 			lastDone = done
 		}
-		for k := i; k < j; k++ {
-			jb := jobs[k]
-			col.record(jb.op, time.Duration(done-jb.at), time.Duration(jb.start-jb.at), nil)
-			col.closed = append(col.closed, done-jb.start)
-		}
-		i = j
+		col.record(jb.op, time.Duration(done-jb.at), time.Duration(jb.start-jb.at), nil)
+		col.closed = append(col.closed, done-jb.start)
 	}
 	return lastDone
 }
@@ -318,9 +284,8 @@ func ModelCapacity(servers int, mix workload.Mix, service map[workload.Op]time.D
 
 // ModelCapacitySign is ModelCapacity for a run with a modeled sign pool:
 // dispatch lanes pay only the prep share (service − sign cost) of
-// offloaded ops, and the sign lanes bound those ops separately. The sign
-// bound is the unbatched one — batching only raises it — so the returned
-// ceiling (the tighter of the two) is safe to anchor sweep ladders on.
+// offloaded ops, and the sign lanes bound those ops separately. The
+// returned ceiling is the tighter of the two, which sweep ladders anchor on.
 func ModelCapacitySign(servers, signWorkers int, mix workload.Mix, service, signCost map[workload.Op]time.Duration) float64 {
 	if signWorkers <= 0 || len(signCost) == 0 {
 		return ModelCapacity(servers, mix, service)

@@ -26,7 +26,6 @@ import (
 //	signworkers 4         modeled sign-pool lanes (0 = signing stays inline)
 //	jitter 0.2            ± service-time jitter fraction
 //	stall 200ms 100ms     freeze all servers at t=200ms for 100ms
-//	signbatch 200µs 32    sign-pool batch window and max batch size
 //	mix extend:40 getrandom:35 seal:15 quote:10
 //	service extend:5µs getrandom:6µs seal:60µs quote:130µs
 //	signcost quote:115µs  private-key share of service, offloaded to sign lanes
@@ -46,10 +45,8 @@ type Scenario struct {
 	StallAt  time.Duration
 	StallFor time.Duration
 
-	SignWorkers     int
-	SignBatchWindow time.Duration
-	SignBatchMax    int
-	SignCost        map[workload.Op]time.Duration
+	SignWorkers int
+	SignCost    map[workload.Op]time.Duration
 
 	Mix     workload.Mix
 	Service map[workload.Op]time.Duration
@@ -178,15 +175,6 @@ func ParseScenario(src string) (*Scenario, error) {
 				s.SignWorkers, err = strconv.Atoi(args[0])
 				if err == nil && s.SignWorkers < 0 {
 					err = fmt.Errorf("negative signworkers")
-				}
-			}
-		case "signbatch":
-			if err = need(2); err == nil {
-				if s.SignBatchWindow, err = parseDur(args[0]); err == nil {
-					s.SignBatchMax, err = strconv.Atoi(args[1])
-					if err == nil && s.SignBatchMax < 0 {
-						err = fmt.Errorf("negative batch max")
-					}
 				}
 			}
 		case "jitter":
@@ -323,9 +311,6 @@ func (s *Scenario) String() string {
 	if s.StallAt != 0 || s.StallFor != 0 {
 		fmt.Fprintf(&b, "stall %s %s\n", s.StallAt, s.StallFor)
 	}
-	if s.SignBatchWindow != 0 || s.SignBatchMax != 0 {
-		fmt.Fprintf(&b, "signbatch %s %d\n", s.SignBatchWindow, s.SignBatchMax)
-	}
 	writeOpTable(&b, "mix", func(op workload.Op) (string, bool) {
 		w, ok := s.Mix[op]
 		return strconv.Itoa(w), ok && w != 0
@@ -357,7 +342,7 @@ func (s *Scenario) String() string {
 
 // Capacity is the modeled throughput ceiling for the scenario's mix;
 // with a sign pool configured, dispatch lanes are charged prep only and
-// the sign lanes impose their own (unbatched) bound.
+// the sign lanes impose their own bound.
 func (s *Scenario) Capacity() float64 {
 	return ModelCapacitySign(s.Servers, s.SignWorkers, s.Mix, s.Service, s.SignCost)
 }
@@ -370,9 +355,7 @@ func (s *Scenario) ModelConfig(offered float64) ModelConfig {
 		Seed: s.Seed, Alpha: s.Alpha, MaxSkew: s.MaxSkew, Mix: s.Mix,
 		Servers: s.Servers, Service: s.Service, ServiceJitter: s.Jitter,
 		StallAt: s.StallAt, StallFor: s.StallFor, SLO: s.SLO,
-		SignWorkers: s.SignWorkers, SignCost: s.SignCost,
-		SignBatchWindow: s.SignBatchWindow, SignBatchMax: s.SignBatchMax,
-		Trace: s.Trace,
+		SignWorkers: s.SignWorkers, SignCost: s.SignCost, Trace: s.Trace,
 	}
 }
 

@@ -48,19 +48,6 @@ func (p *Pending) Err() error {
 	return p.res.Err
 }
 
-// Batched reports, after Wait, whether the signature arrived as a Merkle
-// batch member.
-func (p *Pending) Batched() bool { return p.waited && p.res.Batched }
-
-// BatchSize returns, after Wait, the population of the signing batch (1 for
-// single signs, 0 before Wait).
-func (p *Pending) BatchSize() int {
-	if !p.waited {
-		return 0
-	}
-	return p.res.BatchSize
-}
-
 // deferredAuth is one response-auth block captured in phase 1.
 type deferredAuth struct {
 	handle   uint32

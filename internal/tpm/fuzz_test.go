@@ -124,44 +124,75 @@ func FuzzUnmarshalPrivateKey(f *testing.F) {
 	})
 }
 
-// FuzzBatchedQuoteParse hammers the XBQ1 inclusion-proof decoder with
-// arbitrary bytes: it must reject malformed blobs with an error — never
-// panic, never accept a blob whose re-encoding differs — and the verifier
-// built on it must stay total.
+// FuzzBatchedQuoteParse keeps the name of the retired batched-signature
+// decoder's fuzz target and now fuzzes what replaced it: both quote
+// verifiers, fed arbitrary bytes as the signature. Neither may panic, and
+// each accepts exactly one input, the plain RSASSA-PKCS1-v1_5 signature
+// over its digest. Seeds include the shapes of the retired batched form
+// (its "XBQ1" magic, alone and ahead of a valid signature).
 func FuzzBatchedQuoteParse(f *testing.F) {
-	key, err := rsa.GenerateKey(newDRBG([]byte("fuzz-batch-key")), 512)
+	key := testEK(f, "fuzz-quote-sig")
+	digest1 := sha1Sum([]byte("fuzz-quote-1.2"))
+	quoted2 := []byte("fuzz-quote-2.0")
+	digest2 := sha256.Sum256(quoted2)
+	sig1, err := rsa.SignPKCS1v15(nil, key, crypto.SHA1, digest1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	digests := [][]byte{
-		sha1Sum([]byte("fuzz-a")), sha1Sum([]byte("fuzz-b")),
-		sha1Sum([]byte("fuzz-c")), sha1Sum([]byte("fuzz-d")),
-		sha1Sum([]byte("fuzz-e")),
-	}
-	blobs, err := signBatch(newDRBG([]byte("fuzz-batch-rng")), key, crypto.SHA1, digests)
+	sig2, err := rsa.SignPKCS1v15(nil, key, crypto.SHA256, digest2[:])
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, b := range blobs {
-		f.Add(b)
+	flipped := append([]byte(nil), sig1...)
+	flipped[0] ^= 1
+	for _, seed := range [][]byte{
+		sig1, sig2, flipped, sig1[:len(sig1)/2], append(append([]byte(nil), sig1...), 0),
+		append([]byte("XBQ1"), sig1...), []byte("XBQ1"), {}, []byte("XBQ0junk"),
+	} {
+		f.Add(seed)
 	}
-	f.Add([]byte(batchedQuoteMagic))
-	f.Add([]byte{})
-	f.Add([]byte("XBQ0junk"))
-	trunc := append([]byte(nil), blobs[0]...)
-	f.Add(trunc[:len(trunc)/2])
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		p, err := ParseBatchedQuote(blob)
-		if err == nil {
-			// Accepted blobs must re-encode canonically.
-			reenc := encodeBatchedQuote(p.HashLen, p.Count, p.Index, p.Siblings, p.RootSig)
-			if !bytes.Equal(reenc, blob) {
-				t.Fatalf("non-canonical accept: %x re-encodes to %x", blob, reenc)
-			}
+	f.Fuzz(func(t *testing.T, sig []byte) {
+		if VerifySHA1(&key.PublicKey, digest1, sig) == nil && !bytes.Equal(sig, sig1) {
+			t.Fatalf("1.2 verifier accepted %x, not the plain signature", sig)
 		}
-		// The verifier must be total on arbitrary input for both banks.
-		_ = VerifyBatchedQuote(&key.PublicKey, digests[0], blob)
-		d2 := sha256.Sum256([]byte("fuzz-2"))
-		_ = VerifyBatchedQuote2(&key.PublicKey, d2[:], blob)
+		if VerifyQuote2(&key.PublicKey, quoted2, sig) == nil && !bytes.Equal(sig, sig2) {
+			t.Fatalf("2.0 verifier accepted %x, not the plain signature", sig)
+		}
+	})
+}
+
+// overClaimedComposite is a 9-byte quote composite whose value-length field
+// claims n PCR values it does not carry.
+func overClaimedComposite(n uint32) []byte {
+	w := NewWriter()
+	NewPCRSelection(0).Marshal(w)
+	w.U32(n * DigestSize)
+	return w.Bytes()
+}
+
+// FuzzParseQuoteComposite covers the verifier-side parser of the composite
+// a Quote response carries, which attestd runs on network bytes: every
+// input either errors or yields values the input actually holds
+// (len(vals)*20 ≤ len(input)), and hashing an accepted result never
+// panics.
+func FuzzParseQuoteComposite(f *testing.F) {
+	_, cli := newOwnedTPM(f, "fuzz-composite")
+	h, _ := loadSigningKey(f, cli)
+	var nonce [NonceSize]byte
+	q, err := cli.Quote(h, keyAuth, nonce, NewPCRSelection(0, 1, 10))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(q.Composite)
+	f.Add(overClaimedComposite(1_000_000))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sel, vals, err := ParseQuoteComposite(b)
+		if err != nil {
+			return
+		}
+		if len(vals)*DigestSize > len(b) {
+			t.Fatalf("%d-byte input yielded %d values", len(b), len(vals))
+		}
+		_ = CompositeHash(sel, vals)
 	})
 }

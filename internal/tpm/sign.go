@@ -11,13 +11,12 @@ import (
 // submitSign enqueues one RSASSA-SHA1 job on the attached signing pool with
 // a freshly forked per-job entropy stream. Caller holds t.mu and has
 // checked t.signer != nil.
-func (t *TPM) submitSign(key *rsa.PrivateKey, digest []byte, batch bool) *SignTicket {
+func (t *TPM) submitSign(key *rsa.PrivateKey, digest []byte) *SignTicket {
 	return t.signer.Submit(SignRequest{
 		Key:    key,
 		Hash:   crypto.SHA1,
 		Digest: digest,
 		Rng:    t.forkSignRng(),
-		Batch:  batch,
 	})
 }
 
@@ -90,7 +89,7 @@ func cmdCertifyKey(ctx *cmdContext) (*Writer, uint32) {
 	w := NewWriter()
 	w.B32(info.Bytes())
 	if t.signer != nil {
-		ctx.deferred = t.submitSign(certKey.priv, digest, false)
+		ctx.deferred = t.submitSign(certKey.priv, digest)
 		return w, RCSuccess // trailing sig field appended by Pending
 	}
 	sig, err := signSHA1(t.keyRng, certKey.priv, digest)
@@ -143,7 +142,7 @@ func cmdSign(ctx *cmdContext) (*Writer, uint32) {
 	if t.signer != nil {
 		// Snapshot the digest: area views the command buffer, which the
 		// caller may reuse once ExecuteDeferred returns.
-		ctx.deferred = t.submitSign(key.priv, append([]byte(nil), area...), false)
+		ctx.deferred = t.submitSign(key.priv, append([]byte(nil), area...))
 		return nil, RCSuccess // response is exactly the deferred B32 sig
 	}
 	sig, err := signSHA1(t.keyRng, key.priv, area)
@@ -196,11 +195,7 @@ func cmdQuote(ctx *cmdContext) (*Writer, uint32) {
 	w := NewWriter()
 	w.B32(compBlob.Bytes())
 	if t.signer != nil {
-		// Quote digests are batch-eligible: concurrent quotes against the
-		// same AIK within the pool's window share one Merkle-root signature,
-		// and the response carries an XBQ1 inclusion-proof blob instead of a
-		// plain signature (verifiers accept both via VerifyBatchedQuote).
-		ctx.deferred = t.submitSign(key.priv, QuoteInfoDigest(composite, external), true)
+		ctx.deferred = t.submitSign(key.priv, QuoteInfoDigest(composite, external))
 		return w, RCSuccess // trailing sig field appended by Pending
 	}
 	sig, err := signSHA1(t.keyRng, key.priv, QuoteInfoDigest(composite, external))
@@ -220,7 +215,9 @@ func ParseQuoteComposite(b []byte) (PCRSelection, [][DigestSize]byte, error) {
 		return PCRSelection{}, nil, ErrShortBuffer
 	}
 	n := r.U32()
-	if r.Err() != nil || n%DigestSize != 0 {
+	// n is a byte count read off the input: bound it by what remains
+	// before it sizes an allocation.
+	if r.Err() != nil || n%DigestSize != 0 || uint64(n) > uint64(r.Remaining()) {
 		return PCRSelection{}, nil, ErrShortBuffer
 	}
 	vals := make([][DigestSize]byte, 0, n/DigestSize)

@@ -14,10 +14,9 @@ import (
 // with a pool attached stop computing signatures inline under their command
 // mutex: Quote/Sign/CertifyKey (and the 2.0 Quote twin) snapshot the
 // to-be-signed digest, submit a job, and complete the response when the
-// signature lands (ExecuteDeferred / Pending). Quote jobs against the same
-// key additionally coalesce: within a BatchWindow the first submitter
-// becomes the leader of a batch group — the group-commit shape the log store
-// uses — and one Merkle-root signature covers every member (see merkle.go).
+// signature lands (ExecuteDeferred / Pending). Every job is one plain
+// RSASSA-PKCS1-v1_5 signature, byte-identical to what the inline path
+// computes, so verifiers never learn whether a pool signed.
 //
 // A pool is shared across instances; per-job entropy arrives as a
 // caller-forked DRBG stream so the engines' non-thread-safe key RNGs are
@@ -29,23 +28,15 @@ var ErrSignPoolClosed = errors.New("tpm: sign pool closed")
 
 // Sign pool defaults.
 const (
-	DefaultSignWorkers  = 2
-	DefaultSignBatchMax = 16
-	defaultSignQueue    = 256
+	DefaultSignWorkers = 2
+	defaultSignQueue   = 256
 )
 
-// SignEvent describes one completed signing job, for metrics hooks. A
-// batched job emits one event covering the whole batch.
+// SignEvent describes one completed signing job, for metrics hooks.
 type SignEvent struct {
-	// BatchSize is the number of signatures the job produced (1 for single).
-	BatchSize int
-	// Batched reports whether the job was a Merkle batch.
-	Batched bool
-	// QueueWait is the time from submission to a worker picking the job up
-	// (for batch groups: from the leader's submission).
+	// QueueWait is the time from submission to a worker picking the job up.
 	QueueWait time.Duration
-	// SignTime is the RSA private-key operation time (including tree build
-	// for batches).
+	// SignTime is the RSA private-key operation time.
 	SignTime time.Duration
 	// Err is the job failure, nil on success.
 	Err error
@@ -59,13 +50,6 @@ type SignPoolConfig struct {
 	// QueueDepth is the job channel capacity; submissions beyond it block
 	// (backpressure toward dispatch). 0 means a default of 256.
 	QueueDepth int
-	// BatchWindow is how long the first quote of a batch group waits for
-	// followers before the group is sealed. 0 disables batching: every job
-	// signs individually (pure pooling).
-	BatchWindow time.Duration
-	// BatchMax seals a group early when it reaches this many quotes. 0 means
-	// DefaultSignBatchMax when BatchWindow > 0.
-	BatchMax int
 	// Observe, when non-nil, is called after every completed job (from
 	// worker goroutines; must be cheap and thread-safe).
 	Observe func(SignEvent)
@@ -73,10 +57,10 @@ type SignPoolConfig struct {
 
 // SignRequest describes one deferred private-key operation.
 type SignRequest struct {
-	// Key is the signing key. Jobs batch only within one (Key, Hash) pair.
+	// Key is the signing key.
 	Key *rsa.PrivateKey
 	// Hash names the digest algorithm (crypto.SHA1 for 1.2, crypto.SHA256
-	// for 2.0); it sizes the Merkle tree hash for batches.
+	// for 2.0).
 	Hash crypto.Hash
 	// Digest is the to-be-signed digest, already snapshotted — the pool
 	// never touches engine state.
@@ -84,19 +68,12 @@ type SignRequest struct {
 	// Rng is a per-job entropy stream (RSA blinding), forked by the engine
 	// from its key DRBG so seeded instances stay deterministic. May be nil.
 	Rng io.Reader
-	// Batch marks the job eligible for Merkle batching (quote digests).
-	Batch bool
 }
 
 // SignResult is the outcome of one signing job.
 type SignResult struct {
-	// Sig is the signature: plain RSASSA bytes for single signs, an XBQ1
-	// blob for batched quotes.
+	// Sig is the RSASSA-PKCS1-v1_5 signature.
 	Sig []byte
-	// Batched reports whether Sig is an XBQ1 blob.
-	Batched bool
-	// BatchSize is the batch population (1 for single signs).
-	BatchSize int
 	// Err is the signing failure, nil on success.
 	Err error
 }
@@ -115,13 +92,11 @@ func (tk *SignTicket) Wait() SignResult {
 
 // SignStats is an atomic snapshot of pool counters.
 type SignStats struct {
-	// Submitted/Completed/Errors count individual signatures (a batch of 8
-	// counts 8), so Submitted-Completed is the in-pool population.
+	// Submitted/Completed/Errors count signing jobs, so Submitted-Completed
+	// is the in-pool population.
 	Submitted, Completed, Errors uint64
-	// SingleSigns and BatchSigns count RSA private-key operations by kind;
-	// BatchedQuotes counts signatures delivered from batch operations. The
-	// amortization ratio is BatchedQuotes/BatchSigns.
-	SingleSigns, BatchSigns, BatchedQuotes uint64
+	// SingleSigns counts RSA private-key operations the workers performed.
+	SingleSigns uint64
 	// QueueDepth and InFlight are point-in-time gauges: jobs waiting in the
 	// queue and jobs being signed right now.
 	QueueDepth, InFlight int64
@@ -129,23 +104,11 @@ type SignStats struct {
 	Workers int
 }
 
-// signJob is one unit of worker work: a single request or a sealed batch.
+// signJob is one unit of worker work.
 type signJob struct {
-	reqs    []SignRequest
-	tickets []*SignTicket
-	at      time.Time
-}
-
-// batchKey groups batchable jobs: one Merkle tree per signing key and hash.
-type batchKey struct {
-	key  *rsa.PrivateKey
-	hash crypto.Hash
-}
-
-// batchGroup is an open (not yet sealed) batch awaiting its window.
-type batchGroup struct {
-	job   *signJob
-	timer *time.Timer
+	req    SignRequest
+	ticket *SignTicket
+	at     time.Time
 }
 
 // SignPool implements the pool. Zero value is not usable; use NewSignPool.
@@ -154,15 +117,13 @@ type SignPool struct {
 	jobs chan *signJob
 
 	mu      sync.Mutex
-	groups  map[batchKey]*batchGroup
 	closed  bool
 	senders sync.WaitGroup // in-flight Submit sends, gates close(jobs)
 
 	wg sync.WaitGroup // workers
 
-	submitted, completed, errs         atomic.Uint64
-	singleSigns, batchSigns, batchedQs atomic.Uint64
-	queueDepth, inFlight               atomic.Int64
+	submitted, completed, errs, singleSigns atomic.Uint64
+	queueDepth, inFlight                    atomic.Int64
 }
 
 // NewSignPool starts the workers and returns the pool.
@@ -173,13 +134,9 @@ func NewSignPool(cfg SignPoolConfig) *SignPool {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = defaultSignQueue
 	}
-	if cfg.BatchWindow > 0 && cfg.BatchMax <= 0 {
-		cfg.BatchMax = DefaultSignBatchMax
-	}
 	p := &SignPool{
-		cfg:    cfg,
-		jobs:   make(chan *signJob, cfg.QueueDepth),
-		groups: make(map[batchKey]*batchGroup),
+		cfg:  cfg,
+		jobs: make(chan *signJob, cfg.QueueDepth),
 	}
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -188,82 +145,25 @@ func NewSignPool(cfg SignPoolConfig) *SignPool {
 	return p
 }
 
-// Submit enqueues one signing job and returns its ticket. Batchable jobs
-// join (or open) their key's batch group; the group seals when the window
-// elapses or BatchMax is reached. Submissions after Close complete
+// Submit enqueues one signing job and returns its ticket, blocking while
+// the queue is full (backpressure). Submissions after Close complete
 // immediately with ErrSignPoolClosed — the deferred response still builds,
 // as a TPM failure, so no guest exchange is ever dropped.
 func (p *SignPool) Submit(req SignRequest) *SignTicket {
 	tk := &SignTicket{done: make(chan struct{})}
 	p.submitted.Add(1)
-	if !req.Batch || p.cfg.BatchWindow <= 0 || p.cfg.BatchMax <= 1 {
-		p.enqueue(&signJob{reqs: []SignRequest{req}, tickets: []*SignTicket{tk}, at: time.Now()})
-		return tk
-	}
-	k := batchKey{req.Key, req.Hash}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.failTicket(tk)
+		p.deliver(tk, SignResult{Err: ErrSignPoolClosed})
 		return tk
-	}
-	g := p.groups[k]
-	if g == nil {
-		g = &batchGroup{job: &signJob{at: time.Now()}}
-		p.groups[k] = g
-		g.timer = time.AfterFunc(p.cfg.BatchWindow, func() { p.sealGroup(k, g) })
-	}
-	g.job.reqs = append(g.job.reqs, req)
-	g.job.tickets = append(g.job.tickets, tk)
-	full := len(g.job.reqs) >= p.cfg.BatchMax
-	if full {
-		delete(p.groups, k)
-		g.timer.Stop()
-	}
-	p.mu.Unlock()
-	if full {
-		p.enqueue(g.job)
-	}
-	return tk
-}
-
-// sealGroup is the batch-window timer callback: if the group is still open
-// (not sealed early by BatchMax or by Close), enqueue it.
-func (p *SignPool) sealGroup(k batchKey, g *batchGroup) {
-	p.mu.Lock()
-	if p.groups[k] != g {
-		p.mu.Unlock()
-		return
-	}
-	delete(p.groups, k)
-	p.mu.Unlock()
-	p.enqueue(g.job)
-}
-
-// enqueue hands a sealed job to the workers, blocking when the queue is full
-// (backpressure). After Close the job fails immediately instead.
-func (p *SignPool) enqueue(j *signJob) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for _, tk := range j.tickets {
-			p.failTicket(tk)
-		}
-		return
 	}
 	p.senders.Add(1)
 	p.mu.Unlock()
 	p.queueDepth.Add(1)
-	p.jobs <- j
+	p.jobs <- &signJob{req: req, ticket: tk, at: time.Now()}
 	p.senders.Done()
-}
-
-// failTicket completes a ticket with ErrSignPoolClosed.
-func (p *SignPool) failTicket(tk *SignTicket) {
-	p.errs.Add(1)
-	p.completed.Add(1)
-	tk.res = SignResult{Err: ErrSignPoolClosed}
-	close(tk.done)
+	return tk
 }
 
 // worker drains the job queue until Close.
@@ -277,43 +177,15 @@ func (p *SignPool) worker() {
 	}
 }
 
-// run executes one job: a single RSA sign, or a Merkle batch with one RSA
-// sign over the root and per-leaf proof blobs.
+// run executes one job: a single RSA private-key operation.
 func (p *SignPool) run(j *signJob) {
 	wait := time.Since(j.at)
 	start := time.Now()
-	var err error
-	if len(j.reqs) == 1 {
-		req := j.reqs[0]
-		var sig []byte
-		sig, err = rsa.SignPKCS1v15(req.Rng, req.Key, req.Hash, req.Digest)
-		p.singleSigns.Add(1)
-		p.deliver(j.tickets[0], SignResult{Sig: sig, BatchSize: 1, Err: err})
-	} else {
-		digests := make([][]byte, len(j.reqs))
-		for i, r := range j.reqs {
-			digests[i] = r.Digest
-		}
-		var blobs [][]byte
-		blobs, err = signBatch(j.reqs[0].Rng, j.reqs[0].Key, j.reqs[0].Hash, digests)
-		p.batchSigns.Add(1)
-		for i, tk := range j.tickets {
-			res := SignResult{Batched: true, BatchSize: len(j.reqs), Err: err}
-			if err == nil {
-				res.Sig = blobs[i]
-				p.batchedQs.Add(1)
-			}
-			p.deliver(tk, res)
-		}
-	}
+	sig, err := rsa.SignPKCS1v15(j.req.Rng, j.req.Key, j.req.Hash, j.req.Digest)
+	p.singleSigns.Add(1)
+	p.deliver(j.ticket, SignResult{Sig: sig, Err: err})
 	if ob := p.cfg.Observe; ob != nil {
-		ob(SignEvent{
-			BatchSize: len(j.reqs),
-			Batched:   len(j.reqs) > 1,
-			QueueWait: wait,
-			SignTime:  time.Since(start),
-			Err:       err,
-		})
+		ob(SignEvent{QueueWait: wait, SignTime: time.Since(start), Err: err})
 	}
 }
 
@@ -327,10 +199,10 @@ func (p *SignPool) deliver(tk *SignTicket, res SignResult) {
 	close(tk.done)
 }
 
-// Close seals every open batch group, drains the queue, and stops the
-// workers. Every job submitted before Close completes normally — shutdown
-// loses no responses — and later submissions fail fast with
-// ErrSignPoolClosed. Safe to call once; the pool is not reusable.
+// Close drains the queue and stops the workers. Every job submitted before
+// Close completes normally — shutdown loses no responses — and later
+// submissions fail fast with ErrSignPoolClosed. Safe to call more than
+// once; the pool is not reusable.
 func (p *SignPool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -339,19 +211,7 @@ func (p *SignPool) Close() {
 		return
 	}
 	p.closed = true
-	open := make([]*batchGroup, 0, len(p.groups))
-	for k, g := range p.groups {
-		delete(p.groups, k)
-		g.timer.Stop()
-		open = append(open, g)
-	}
 	p.mu.Unlock()
-	// Flush the open groups directly: enqueue() refuses after closed, and
-	// Close is the sole owner of these sealed-by-close jobs.
-	for _, g := range open {
-		p.queueDepth.Add(1)
-		p.jobs <- g.job
-	}
 	p.senders.Wait()
 	close(p.jobs)
 	p.wg.Wait()
@@ -359,18 +219,13 @@ func (p *SignPool) Close() {
 
 // Stats returns an atomic snapshot of the pool counters.
 func (p *SignPool) Stats() SignStats {
-	if p == nil {
-		return SignStats{}
-	}
 	return SignStats{
-		Submitted:     p.submitted.Load(),
-		Completed:     p.completed.Load(),
-		Errors:        p.errs.Load(),
-		SingleSigns:   p.singleSigns.Load(),
-		BatchSigns:    p.batchSigns.Load(),
-		BatchedQuotes: p.batchedQs.Load(),
-		QueueDepth:    p.queueDepth.Load(),
-		InFlight:      p.inFlight.Load(),
-		Workers:       p.cfg.Workers,
+		Submitted:   p.submitted.Load(),
+		Completed:   p.completed.Load(),
+		Errors:      p.errs.Load(),
+		SingleSigns: p.singleSigns.Load(),
+		QueueDepth:  p.queueDepth.Load(),
+		InFlight:    p.inFlight.Load(),
+		Workers:     p.cfg.Workers,
 	}
 }

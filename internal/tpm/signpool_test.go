@@ -53,47 +53,43 @@ func loadSigningKey(t testing.TB, cli *Client) (uint32, []byte) {
 	return h, MarshalPublicKey(pubRSA)
 }
 
+// TestMerkleBatchRoundTrip keeps the name of the retired Merkle-batch test
+// and checks the one signature format that replaced it: jobs submitted
+// back to back against one key come back from the pool byte-identical to
+// the inline signature (RSASSA-PKCS1-v1_5 is deterministic), for both the
+// 1.2 (SHA-1) and the 2.0 (SHA-256) digest.
 func TestMerkleBatchRoundTrip(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 5, 7, 8, 9, 16, 33} {
+	key := testSignKey(t)
+	pool := NewSignPool(SignPoolConfig{Workers: 2})
+	defer pool.Close()
+	const n = 16
+	for _, hash := range []crypto.Hash{crypto.SHA1, crypto.SHA256} {
 		digests := make([][]byte, n)
+		tickets := make([]*SignTicket, n)
 		for i := range digests {
-			digests[i] = sha1Sum([]byte(fmt.Sprintf("digest-%d-%d", n, i)))
+			h := hash.New()
+			fmt.Fprintf(h, "digest-%d", i)
+			digests[i] = h.Sum(nil)
+			tickets[i] = pool.Submit(SignRequest{
+				Key: key, Hash: hash, Digest: digests[i], Rng: newDRBG([]byte(fmt.Sprintf("rng-%d", i))),
+			})
 		}
-		root, paths := merkleBatch(crypto.SHA1, digests)
-		for i, d := range digests {
-			p := BatchedQuoteProof{HashLen: DigestSize, Count: uint32(n), Index: uint32(i), Siblings: paths[i]}
-			if got := p.Root(crypto.SHA1, d); !bytes.Equal(got, root) {
-				t.Fatalf("n=%d leaf %d: folded root %x, want %x", n, i, got, root)
+		for i, tk := range tickets {
+			res := tk.Wait()
+			if res.Err != nil {
+				t.Fatalf("%v job %d: %v", hash, i, res.Err)
 			}
-			// A different digest must not fold to the root.
-			if got := p.Root(crypto.SHA1, sha1Sum([]byte("other"))); bytes.Equal(got, root) {
-				t.Fatalf("n=%d leaf %d: wrong digest folded to the root", n, i)
+			want, err := rsa.SignPKCS1v15(nil, key, hash, digests[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Sig, want) {
+				t.Fatalf("%v job %d: pooled signature differs from the inline one", hash, i)
 			}
 		}
 	}
-}
-
-func TestBatchedQuoteParseRoundTrip(t *testing.T) {
-	digests := [][]byte{sha1Sum([]byte("a")), sha1Sum([]byte("b")), sha1Sum([]byte("c"))}
-	blobs, err := signBatch(newDRBG([]byte("rng")), testSignKey(t), crypto.SHA1, digests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, blob := range blobs {
-		if !IsBatchedQuote(blob) {
-			t.Fatalf("blob %d: missing magic", i)
-		}
-		p, err := ParseBatchedQuote(blob)
-		if err != nil {
-			t.Fatalf("blob %d: %v", i, err)
-		}
-		if p.Count != 3 || p.Index != uint32(i) || p.HashLen != DigestSize {
-			t.Fatalf("blob %d: parsed %+v", i, p)
-		}
-		reenc := encodeBatchedQuote(p.HashLen, p.Count, p.Index, p.Siblings, p.RootSig)
-		if !bytes.Equal(reenc, blob) {
-			t.Fatalf("blob %d: re-encode differs", i)
-		}
+	if st := pool.Stats(); st.SingleSigns != 2*n || st.Completed != 2*n || st.Errors != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -108,154 +104,112 @@ func testSignKey(t testing.TB) *rsa.PrivateKey {
 }
 
 // TestBatchedVsSingleQuoteEquivalence is the equivalence matrix: the same
-// PCR state quoted through an inline engine, a pooled (single-sign) engine,
-// and a pooled+batched engine must all verify under VerifyBatchedQuote; and
-// every tampered form of the batched blob must be rejected.
+// PCR state quoted through an inline engine, through a pooled engine, and
+// by 6 concurrent clients against one key of that pooled engine. Every
+// signature must be plain (modulus-sized RSASSA-PKCS1-v1_5) and verify, and
+// every tampered form must be refused: each flipped signature byte, a
+// wrong nonce, and another quote's signature.
 func TestBatchedVsSingleQuoteEquivalence(t *testing.T) {
 	var nonce [NonceSize]byte
 	copy(nonce[:], sha1Sum([]byte("equivalence-nonce")))
 	sel := NewPCRSelection(0, 1)
 
 	type result struct {
-		name string
-		pub  []byte
-		q    *QuoteResult
+		name  string
+		pub   []byte
+		nonce [NonceSize]byte
+		q     *QuoteResult
 	}
 	var results []result
+	// provision loads a signing key and extends the quoted PCRs to the
+	// shared state.
+	provision := func(cli *Client) (uint32, []byte) {
+		h, pub := loadSigningKey(t, cli)
+		cli.Extend(0, sha1.Sum([]byte("bios")))
+		cli.Extend(1, sha1.Sum([]byte("loader")))
+		return h, pub
+	}
 
 	// Inline (no pool): the seed path.
 	{
 		_, cli := newOwnedTPM(t, "equiv")
-		h, pub := loadSigningKey(t, cli)
-		cli.Extend(0, sha1.Sum([]byte("bios")))
-		cli.Extend(1, sha1.Sum([]byte("loader")))
+		h, pub := provision(cli)
 		q, err := cli.Quote(h, keyAuth, nonce, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, result{"inline", pub, q})
+		results = append(results, result{"inline", pub, nonce, q})
 	}
-	// Pooled, no batching window: deferred single signs.
+	// Pooled: one sequential quote, then 6 concurrent ones against the same
+	// key (distinct nonces, so distinct digests).
 	{
-		_, cli, _ := poolTPM(t, "equiv", SignPoolConfig{Workers: 2})
-		h, pub := loadSigningKey(t, cli)
-		cli.Extend(0, sha1.Sum([]byte("bios")))
-		cli.Extend(1, sha1.Sum([]byte("loader")))
+		eng, cli, _ := poolTPM(t, "equiv", SignPoolConfig{Workers: 2})
+		h, pub := provision(cli)
 		q, err := cli.Quote(h, keyAuth, nonce, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if IsBatchedQuote(q.Signature) {
-			t.Fatal("single pooled quote produced a batched blob")
-		}
-		results = append(results, result{"pooled", pub, q})
-	}
-	// Pooled with a batching window, concurrent quotes (distinct nonces, so
-	// distinct digests) → XBQ1 blobs.
-	const nBatch = 6
-	var batched []*QuoteResult
-	var batchedNonces [nBatch][NonceSize]byte
-	var batchedPub []byte
-	{
-		eng, cli, _ := poolTPM(t, "equiv", SignPoolConfig{Workers: 2, BatchWindow: 30 * time.Millisecond, BatchMax: 8})
-		h, pub := loadSigningKey(t, cli)
-		batchedPub = pub
-		cli.Extend(0, sha1.Sum([]byte("bios")))
-		cli.Extend(1, sha1.Sum([]byte("loader")))
-		qs := make([]*QuoteResult, nBatch)
-		errs := make([]error, nBatch)
+		results = append(results, result{"pooled", pub, nonce, q})
+
+		const nConcurrent = 6
+		qs := make([]*QuoteResult, nConcurrent)
+		errs := make([]error, nConcurrent)
+		nonces := make([][NonceSize]byte, nConcurrent)
 		var wg sync.WaitGroup
-		for i := 0; i < nBatch; i++ {
-			copy(batchedNonces[i][:], sha1Sum([]byte(fmt.Sprintf("cq-nonce-%d", i))))
+		for i := 0; i < nConcurrent; i++ {
+			copy(nonces[i][:], sha1Sum([]byte(fmt.Sprintf("cq-nonce-%d", i))))
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				c := NewClient(DirectTransport{TPM: eng}, newDRBG([]byte(fmt.Sprintf("qc-%d", i))))
-				qs[i], errs[i] = c.Quote(h, keyAuth, batchedNonces[i], sel)
+				qs[i], errs[i] = c.Quote(h, keyAuth, nonces[i], sel)
 			}(i)
 		}
 		wg.Wait()
-		sawBatch := false
-		for i := 0; i < nBatch; i++ {
+		for i := 0; i < nConcurrent; i++ {
 			if errs[i] != nil {
 				t.Fatalf("concurrent quote %d: %v", i, errs[i])
 			}
-			if IsBatchedQuote(qs[i].Signature) {
-				sawBatch = true
-			}
-			batched = append(batched, qs[i])
-		}
-		if !sawBatch {
-			t.Fatal("no quote came back Merkle-batched despite the 30ms window")
+			results = append(results, result{fmt.Sprintf("concurrent-%d", i), pub, nonces[i], qs[i]})
 		}
 	}
 
-	// Same PCR state → every form verifies, and every form fails under a
-	// wrong nonce.
 	var wrongNonce [NonceSize]byte
-	for _, r := range results {
+	for i, r := range results {
 		pub, err := UnmarshalPublicKey(r.pub)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(r.q.Signature) != pub.Size() {
+			t.Fatalf("%s: %d-byte signature is not a plain %d-byte RSASSA signature",
+				r.name, len(r.q.Signature), pub.Size())
 		}
 		gotSel, vals, err := ParseQuoteComposite(r.q.Composite)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		digest := QuoteInfoDigest(CompositeHash(gotSel, vals), nonce)
-		if err := VerifyBatchedQuote(pub, digest, r.q.Signature); err != nil {
+		digest := QuoteInfoDigest(CompositeHash(gotSel, vals), r.nonce)
+		if err := VerifySHA1(pub, digest, r.q.Signature); err != nil {
 			t.Fatalf("%s: quote did not verify: %v", r.name, err)
 		}
 		bad := QuoteInfoDigest(CompositeHash(gotSel, vals), wrongNonce)
-		if err := VerifyBatchedQuote(pub, bad, r.q.Signature); err == nil {
+		if err := VerifySHA1(pub, bad, r.q.Signature); err == nil {
 			t.Fatalf("%s: quote verified under the wrong nonce", r.name)
 		}
-	}
-
-	// Every batched quote verifies under its own nonce and fails under any
-	// other member's nonce (distinct digests).
-	pub, err := UnmarshalPublicKey(batchedPub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digests := make([][]byte, nBatch)
-	victimIdx := -1
-	for i, q := range batched {
-		gotSel, vals, err := ParseQuoteComposite(q.Composite)
-		if err != nil {
-			t.Fatalf("batched %d: %v", i, err)
+		for b := range r.q.Signature {
+			mut := append([]byte(nil), r.q.Signature...)
+			mut[b] ^= 0x01
+			if err := VerifySHA1(pub, digest, mut); err == nil {
+				t.Fatalf("%s: tampered byte %d of %d still verified", r.name, b, len(mut))
+			}
 		}
-		digests[i] = QuoteInfoDigest(CompositeHash(gotSel, vals), batchedNonces[i])
-		if err := VerifyBatchedQuote(pub, digests[i], q.Signature); err != nil {
-			t.Fatalf("batched %d did not verify: %v", i, err)
+		// Cross-quote substitution: the next quote by the same key under a
+		// different nonce must not verify this quote's digest.
+		if i+1 < len(results) && bytes.Equal(results[i+1].pub, r.pub) && results[i+1].nonce != r.nonce {
+			if err := VerifySHA1(pub, digest, results[i+1].q.Signature); err == nil {
+				t.Fatalf("%s: another quote's signature verified this digest", r.name)
+			}
 		}
-		if victimIdx < 0 && IsBatchedQuote(q.Signature) {
-			victimIdx = i
-		}
-	}
-	victim := batched[victimIdx]
-
-	// Tamper matrix over a genuinely batched blob: every flipped byte of the
-	// header, proof region, and root signature must fail (reject or parse
-	// error) — count and index are bound into the leaf hash, so nothing
-	// tampered may verify.
-	for i := len(batchedQuoteMagic); i < len(victim.Signature); i++ {
-		mut := append([]byte(nil), victim.Signature...)
-		mut[i] ^= 0x01
-		if err := VerifyBatchedQuote(pub, digests[victimIdx], mut); err == nil {
-			t.Fatalf("tampered byte %d of %d still verified", i, len(mut))
-		}
-	}
-	// Cross-quote substitution: another batch member's proof must not verify
-	// this member's digest.
-	for j, other := range batched {
-		if j == victimIdx || !IsBatchedQuote(other.Signature) {
-			continue
-		}
-		if err := VerifyBatchedQuote(pub, digests[victimIdx], other.Signature); err == nil {
-			t.Fatal("another leaf's inclusion proof verified this digest")
-		}
-		break
 	}
 }
 
@@ -302,10 +256,11 @@ func TestDeferredSignAndCertifyMatchInline(t *testing.T) {
 	}
 }
 
-// TestTPM2DeferredQuoteVerifies drives the 2.0 twin through the pool, both
-// single and batched, and checks VerifyQuote2 accepts both forms.
+// TestTPM2DeferredQuoteVerifies drives concurrent 2.0 quotes through the
+// pool and checks VerifyQuote2 accepts each plain signature and refuses a
+// tampered attest.
 func TestTPM2DeferredQuoteVerifies(t *testing.T) {
-	pool := NewSignPool(SignPoolConfig{Workers: 2, BatchWindow: 30 * time.Millisecond, BatchMax: 8})
+	pool := NewSignPool(SignPoolConfig{Workers: 2})
 	t.Cleanup(pool.Close)
 	eng, err := New2(Config{RSABits: 512, Seed: []byte("tpm2-pool"), Signer: pool})
 	if err != nil {
@@ -339,53 +294,44 @@ func TestTPM2DeferredQuoteVerifies(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	sawBatch := false
 	for i, o := range outs {
 		if o.err != nil {
 			t.Fatalf("quote %d: %v", i, o.err)
 		}
-		if IsBatchedQuote(o.sig) {
-			sawBatch = true
+		if len(o.sig) != pub.Size() {
+			t.Fatalf("quote %d: %d-byte signature is not a plain RSASSA signature", i, len(o.sig))
 		}
 		if err := VerifyQuote2(pub, o.quoted, o.sig); err != nil {
 			t.Fatalf("quote %d verify: %v", i, err)
 		}
-		// Tampered attest must fail for both forms.
 		bad := append([]byte(nil), o.quoted...)
 		bad[len(bad)-1] ^= 1
 		if err := VerifyQuote2(pub, bad, o.sig); err == nil {
 			t.Fatalf("quote %d: tampered attest verified", i)
 		}
 	}
-	if !sawBatch {
-		t.Fatal("no 2.0 quote came back Merkle-batched despite the window")
-	}
 }
 
-// TestSignPoolShutdownDrains submits jobs (including an open batch group)
-// and closes the pool: every ticket must complete with a valid signature —
-// shutdown loses no responses.
+// TestSignPoolShutdownDrains queues more jobs than the pool has workers and
+// closes it: every ticket must complete with a valid signature — shutdown
+// loses no responses — and later submissions fail fast.
 func TestSignPoolShutdownDrains(t *testing.T) {
 	key := testSignKey(t)
-	pool := NewSignPool(SignPoolConfig{Workers: 2, BatchWindow: time.Hour, BatchMax: 64})
+	pool := NewSignPool(SignPoolConfig{Workers: 2})
 	var tickets []*SignTicket
 	var digests [][]byte
 	for i := 0; i < 20; i++ {
 		d := sha1Sum([]byte(fmt.Sprintf("drain-%d", i)))
 		digests = append(digests, d)
-		tickets = append(tickets, pool.Submit(SignRequest{
-			Key: key, Hash: crypto.SHA1, Digest: d, Batch: i%2 == 0,
-		}))
+		tickets = append(tickets, pool.Submit(SignRequest{Key: key, Hash: crypto.SHA1, Digest: d}))
 	}
-	// The hour-long window means the batch group is still open: Close must
-	// seal and drain it.
 	pool.Close()
 	for i, tk := range tickets {
 		res := tk.Wait()
 		if res.Err != nil {
 			t.Fatalf("ticket %d: %v", i, res.Err)
 		}
-		if err := VerifyBatchedQuote(&key.PublicKey, digests[i], res.Sig); err != nil {
+		if err := VerifySHA1(&key.PublicKey, digests[i], res.Sig); err != nil {
 			t.Fatalf("ticket %d: drained signature invalid: %v", i, err)
 		}
 	}
@@ -394,7 +340,7 @@ func TestSignPoolShutdownDrains(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// Submissions after Close fail fast with the sentinel, losing nothing.
-	tk := pool.Submit(SignRequest{Key: key, Hash: crypto.SHA1, Digest: digests[0], Batch: true})
+	tk := pool.Submit(SignRequest{Key: key, Hash: crypto.SHA1, Digest: digests[0]})
 	if res := tk.Wait(); !errors.Is(res.Err, ErrSignPoolClosed) {
 		t.Fatalf("post-close submit: err = %v, want ErrSignPoolClosed", res.Err)
 	}

@@ -1,6 +1,7 @@
 package tpm
 
 import (
+	"crypto"
 	"crypto/rsa"
 	"crypto/sha256"
 	"errors"
@@ -87,11 +88,10 @@ func ParseAttest2(quoted []byte) (*Attest2, error) {
 	return a, nil
 }
 
-// VerifyQuote2 checks a TPM2_Quote signature over a raw TPMS_ATTEST: either
-// a plain RSASSA-PKCS1-v1_5/SHA-256 signature or an XBQ1 Merkle-batched
-// blob (one root signature shared by a signing-pool batch, plus this
-// quote's inclusion proof).
+// VerifyQuote2 checks a TPM2_Quote signature over a raw TPMS_ATTEST: a
+// plain RSASSA-PKCS1-v1_5/SHA-256 signature, the only form the engine
+// emits.
 func VerifyQuote2(pub *rsa.PublicKey, quoted, sig []byte) error {
 	digest := sha256.Sum256(quoted)
-	return VerifyBatchedQuote2(pub, digest[:], sig)
+	return rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest[:], sig)
 }

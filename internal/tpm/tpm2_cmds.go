@@ -473,14 +473,12 @@ func cmd2Quote(ctx *cmd2Context) (*Writer, uint32, bool, uint32) {
 	digest := sha256.Sum256(quoted)
 	if t.signer != nil {
 		// Deferred: the signature becomes the response's final B16 field,
-		// appended by Pending once the pool delivers it. Quote digests are
-		// batch-eligible (Merkle-batched against this EK, SHA-256 tree).
+		// appended by Pending once the pool delivers it.
 		ctx.deferred = t.signer.Submit(SignRequest{
 			Key:    t.ek,
 			Hash:   crypto.SHA256,
 			Digest: append([]byte(nil), digest[:]...),
 			Rng:    t.forkSignRng2(),
-			Batch:  true,
 		})
 		out := ctx.respWriter()
 		out.B16(quoted)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -496,6 +497,61 @@ func TestQuoteVerifies(t *testing.T) {
 	var nonce2 [NonceSize]byte
 	if err := VerifySHA1(pub, QuoteInfoDigest(composite, nonce2), q.Signature); err == nil {
 		t.Fatal("quote verified under wrong nonce")
+	}
+}
+
+// TestBatchedQuoteParseRoundTrip keeps the name of the retired
+// batched-signature codec test and covers the quote field verifiers still
+// parse: a quote's composite parses back to the quoted selection and PCR
+// values and re-marshals to the same bytes, and a composite whose length
+// field claims more values than it carries is refused without sizing an
+// allocation from the claim.
+func TestBatchedQuoteParseRoundTrip(t *testing.T) {
+	_, cli := newOwnedTPM(t, "composite")
+	h, _ := loadSigningKey(t, cli)
+	cli.Extend(10, sha1.Sum([]byte("app")))
+	var nonce [NonceSize]byte
+	sel := NewPCRSelection(0, 10)
+	q, err := cli.Quote(h, keyAuth, nonce, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSel, vals, err := ParseQuoteComposite(q.Composite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcr10, err := cli.PCRRead(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotSel != sel || len(vals) != 2 || vals[1] != pcr10 {
+		t.Fatalf("composite parsed to sel %v, %d values", gotSel.Indices(), len(vals))
+	}
+	w := NewWriter()
+	gotSel.Marshal(w)
+	w.U32(uint32(len(vals) * DigestSize))
+	for _, v := range vals {
+		w.Raw(v[:])
+	}
+	if !bytes.Equal(w.Bytes(), q.Composite) {
+		t.Fatal("composite does not re-marshal to the quoted bytes")
+	}
+
+	for name, b := range map[string][]byte{
+		"claims 10^6 values": overClaimedComposite(1_000_000),
+		"claims 2 values":    overClaimedComposite(2),
+		"truncated value":    q.Composite[:len(q.Composite)-1],
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ParseQuoteComposite(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%s: refusing a %d-byte composite allocated %d bytes", name, len(b), d)
+		}
 	}
 }
 

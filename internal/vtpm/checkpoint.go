@@ -169,7 +169,7 @@ func (m *Manager) CheckpointStats() CheckpointStats {
 // sticky store error (the error surfaces at the next flush barrier instead
 // of hanging the guest).
 func (m *Manager) checkpointGate(inst *instance) {
-	if m.ckptPolicy != CheckpointWriteback {
+	if m.cfg.Checkpoint != CheckpointWriteback {
 		return
 	}
 	ck := &inst.ck
@@ -195,12 +195,12 @@ func (m *Manager) noteMutation(inst *instance) {
 	ck.dirtySeq++
 	pending := ck.pendingLocked()
 	start := false
-	if m.ckptPolicy == CheckpointWriteback && !ck.running && !ck.destroyed {
+	if m.cfg.Checkpoint == CheckpointWriteback && !ck.running && !ck.destroyed {
 		ck.running = true
 		start = true
 	}
 	ck.mu.Unlock()
-	if m.ckptPolicy != CheckpointWriteback {
+	if m.cfg.Checkpoint != CheckpointWriteback {
 		return
 	}
 	if start {
@@ -415,7 +415,7 @@ func (m *Manager) checkpointInstance(inst *instance, force bool) error {
 // policies the store is by definition as current as the policy promises and
 // it is a no-op.
 func (m *Manager) flushCheckpoints(inst *instance) error {
-	if m.ckptPolicy != CheckpointWriteback {
+	if m.cfg.Checkpoint != CheckpointWriteback {
 		return nil
 	}
 	return m.checkpointInstance(inst, false)

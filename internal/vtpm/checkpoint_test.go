@@ -347,7 +347,7 @@ func TestFailedFirstCheckpointLeavesNoInstance(t *testing.T) {
 func TestCheckpointAllContinuesPastFailure(t *testing.T) {
 	fs := &failStore{Store: NewMemStore()}
 	_, mgr := newCkptRig(t, fs, &passGuard{}, ManagerConfig{
-		RSABits: testBits, Seed: []byte("ckall"), DeferCheckpoints: true,
+		RSABits: testBits, Seed: []byte("ckall"), Checkpoint: CheckpointDeferred,
 	})
 	defer mgr.Close()
 	var ids []InstanceID

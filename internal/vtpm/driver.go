@@ -98,8 +98,12 @@ func ringDoorbell(ec *xen.EventChannels, self xen.DomID, port xen.EvtchnPort, wa
 }
 
 // Ring geometry of the vTPM device: 8 in-flight slots of 4 KiB, sized for
-// the largest key blobs the engine emits.
-var deviceRingGeometry = ring.Geometry{NumSlots: 8, SlotSize: 4096}
+// the largest key blobs the engine emits. deviceRingPages is the number of
+// guest pages (and so grant references) the ring occupies.
+var (
+	deviceRingGeometry = ring.Geometry{NumSlots: 8, SlotSize: 4096}
+	deviceRingPages    = (deviceRingGeometry.RegionSize() + xen.PageSize - 1) / xen.PageSize
+)
 
 // Payload framing on the ring: one tag byte ahead of the body.
 const (
@@ -163,12 +167,11 @@ func NewFrontendCfg(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, cod
 // event channel and publishes the connection parameters in XenStore, leaving
 // the device in state Initialised for the backend to pick up.
 func (f *Frontend) Setup() error {
-	pages := (deviceRingGeometry.RegionSize() + xen.PageSize - 1) / xen.PageSize
-	first, err := f.dom.AllocPages(pages)
+	first, err := f.dom.AllocPages(deviceRingPages)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	region, err := f.dom.PageRun(first, pages)
+	region, err := f.dom.PageRun(first, deviceRingPages)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
@@ -176,7 +179,7 @@ func (f *Frontend) Setup() error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
-	refs, err := f.dom.GrantRun(xen.Dom0, first, pages, false)
+	refs, err := f.dom.GrantRun(xen.Dom0, first, deviceRingPages, false)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
 	}
@@ -372,6 +375,11 @@ func (b *Backend) AttachDevice(front xen.DomID) error {
 	nRefs, err := b.readInt(dir + "/ring-ref-count")
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrHandshake, err)
+	}
+	// The guest wrote this count: accept only the page count the device
+	// ring needs, before it sizes anything.
+	if nRefs != uint64(deviceRingPages) {
+		return fmt.Errorf("%w: ring-ref-count %d, device ring needs %d", ErrHandshake, nRefs, deviceRingPages)
 	}
 	refs := make([]xen.GrantRef, 0, nRefs)
 	for i := uint64(0); i < nRefs; i++ {

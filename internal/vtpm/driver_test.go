@@ -2,6 +2,8 @@ package vtpm
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -102,17 +104,32 @@ func TestAttachRejectsCorruptHandshake(t *testing.T) {
 	dir := frontPath(dom.ID())
 	// State says Initialised but the keys are garbage.
 	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/state", []byte(strconv.Itoa(XenbusInitialised)))
-	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/ring-ref-count", []byte("2"))
-	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/ring-ref-0", []byte("999"))
-	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/ring-ref-1", []byte("1000"))
+	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/ring-ref-count", []byte(strconv.Itoa(deviceRingPages)))
+	for i := 0; i < deviceRingPages; i++ {
+		xs.Write(dom.ID(), xenstore.NoTxn, fmt.Sprintf("%s/ring-ref-%d", dir, i), []byte(strconv.Itoa(999+i)))
+	}
 	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/event-channel", []byte("77"))
 	if err := be.AttachDevice(dom.ID()); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("err = %v, want ErrHandshake", err)
 	}
-	// Non-numeric values are also refused.
-	xs.Write(dom.ID(), xenstore.NoTxn, dir+"/ring-ref-count", []byte("lots"))
-	if err := be.AttachDevice(dom.ID()); !errors.Is(err, ErrHandshake) {
-		t.Fatalf("err = %v, want ErrHandshake", err)
+	// Non-numeric values are also refused, and so is any count other than
+	// the ring's page count — without sizing an allocation from the
+	// guest's claim.
+	for _, count := range []string{
+		"lots", "18446744073709551615", "4611686018427387904", "100000000",
+		"0", strconv.Itoa(deviceRingPages + 1),
+	} {
+		xs.Write(dom.ID(), xenstore.NoTxn, dir+"/ring-ref-count", []byte(count))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := be.AttachDevice(dom.ID())
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrHandshake) {
+			t.Fatalf("ring-ref-count %s: err = %v, want ErrHandshake", count, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("ring-ref-count %s: refusal allocated %d bytes", count, d)
+		}
 	}
 }
 

@@ -43,19 +43,6 @@ type ManagerConfig struct {
 	// and E20. The pool is a tpm.KeyPool shared by every instance; with a
 	// manager Seed set it runs sequence-deterministic.
 	EKPoolSize int
-	// SignWorkers sizes the shared RSA signing pool that takes Quote, Sign
-	// and CertifyKey private-key operations off the per-instance dispatch
-	// lane (engine ExecuteDeferred). Zero means tpm.DefaultSignWorkers — the
-	// pool is on by default; negative disables it (signatures computed
-	// inline under the instance lock, the pre-pool behaviour).
-	SignWorkers int
-	// SignBatchWindow, when positive, batches concurrent Quote digests
-	// against the same key within the window under one Merkle-root signature
-	// (XBQ1 blobs; see internal/tpm/merkle.go). Zero disables batching.
-	SignBatchWindow time.Duration
-	// SignBatchMax seals a quote batch early at this population. Zero means
-	// tpm.DefaultSignBatchMax when SignBatchWindow is positive.
-	SignBatchMax int
 	// Checkpoint selects when mutated state is persisted: synchronously on
 	// every mutating command (CheckpointEager, the default and the stock
 	// manager's behaviour), coalesced by a background worker within the
@@ -71,10 +58,6 @@ type ManagerConfig struct {
 	// mutations before the worker persists what it has. Zero means
 	// DefaultMaxDirtyInterval.
 	MaxDirtyInterval time.Duration
-	// DeferCheckpoints is the pre-CheckpointPolicy spelling of
-	// CheckpointDeferred, kept for existing callers; it is ignored when
-	// Checkpoint is set explicitly.
-	DeferCheckpoints bool
 	// Retry bounds the retry loop wrapped around every store operation
 	// (see retry.go). The zero value resolves to the package defaults.
 	Retry RetryPolicy
@@ -87,15 +70,6 @@ type ManagerConfig struct {
 	// run is reproducible span-for-span.
 	TraceSampleRate int
 	TraceSeed       int64
-}
-
-// policy resolves the configured checkpoint policy, honouring the legacy
-// DeferCheckpoints flag.
-func (cfg ManagerConfig) policy() CheckpointPolicy {
-	if cfg.Checkpoint == CheckpointEager && cfg.DeferCheckpoints {
-		return CheckpointDeferred
-	}
-	return cfg.Checkpoint
 }
 
 // Manager is the dom0 vTPM manager daemon: it owns every instance, its
@@ -128,15 +102,14 @@ type Manager struct {
 
 	// Shared RSA pools (see internal/tpm): signPool runs private-key
 	// operations off the dispatch lanes, keyPool pre-generates keys for
-	// instance creation. Either may be nil (disabled).
+	// instance creation (nil when EKPoolSize is zero).
 	signPool  *tpm.SignPool
 	keyPool   *tpm.KeyPool
 	stop      chan struct{}
 	closeOnce sync.Once
 
-	// Resolved checkpoint pipeline parameters (see checkpoint.go), fixed at
+	// Resolved checkpoint pipeline bounds (see checkpoint.go), fixed at
 	// construction so the hot path never re-derives them.
-	ckptPolicy       CheckpointPolicy
 	maxDirty         uint64
 	maxDirtyInterval time.Duration
 
@@ -226,13 +199,13 @@ func NewManager(hv *xen.Hypervisor, store Store, arena *xen.Arena, guard Guard, 
 		nextID:    1,
 		stop:      make(chan struct{}),
 
-		ckptPolicy:       cfg.policy(),
 		maxDirty:         DefaultMaxDirtyCommands,
 		maxDirtyInterval: DefaultMaxDirtyInterval,
 		retry:            cfg.Retry.resolve(),
 		ckptLag:          metrics.NewRecorder(),
 		tel:              newTelemetry(cfg),
 	}
+	m.signPool = tpm.NewSignPool(tpm.SignPoolConfig{Observe: m.observeSign})
 	if cfg.MaxDirtyCommands > 0 {
 		m.maxDirty = uint64(cfg.MaxDirtyCommands)
 	}
@@ -250,14 +223,6 @@ func NewManager(hv *xen.Hypervisor, store Store, arena *xen.Arena, guard Guard, 
 		}
 		m.keyPool = tpm.NewKeyPool(tpm.KeyPoolConfig{Bits: bits, Size: cfg.EKPoolSize, Seed: poolSeed})
 	}
-	if cfg.SignWorkers >= 0 {
-		m.signPool = tpm.NewSignPool(tpm.SignPoolConfig{
-			Workers:     cfg.SignWorkers, // 0 resolves to tpm.DefaultSignWorkers
-			BatchWindow: cfg.SignBatchWindow,
-			BatchMax:    cfg.SignBatchMax,
-			Observe:     m.observeSign,
-		})
-	}
 	return m
 }
 
@@ -274,13 +239,11 @@ func (m *Manager) Close() error {
 		close(m.stop)
 		// Drain the signing pool first: every in-flight deferred response
 		// completes (no guest exchange is lost), later submissions fail fast.
-		if m.signPool != nil {
-			m.signPool.Close()
-		}
+		m.signPool.Close()
 		if m.keyPool != nil {
 			m.keyPool.Close()
 		}
-		if m.ckptPolicy != CheckpointWriteback {
+		if m.cfg.Checkpoint != CheckpointWriteback {
 			return
 		}
 		m.regMu.RLock()
@@ -302,10 +265,6 @@ func (m *Manager) Close() error {
 	})
 	return errors.Join(errs...)
 }
-
-// SignPool exposes the shared signing pool (nil when disabled), for
-// introspection and tests.
-func (m *Manager) SignPool() *tpm.SignPool { return m.signPool }
 
 // KeyPool exposes the shared key-generation pool (nil when disabled).
 func (m *Manager) KeyPool() *tpm.KeyPool { return m.keyPool }
@@ -612,7 +571,7 @@ func (m *Manager) Dispatch(claimedFrom xen.DomID, claimedLaunch xen.LaunchDigest
 	// persistence already failed once, so a flaky store is paid for in
 	// latency, never in durability.
 	var flush time.Duration
-	if mutated && (m.ckptPolicy == CheckpointEager || inst.health.current() == HealthDegraded) {
+	if mutated && (m.cfg.Checkpoint == CheckpointEager || inst.health.current() == HealthDegraded) {
 		flushStart := time.Now()
 		cerr := m.checkpointInstance(inst, false)
 		flush = time.Since(flushStart)

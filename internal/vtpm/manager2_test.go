@@ -24,7 +24,7 @@ func TestDeferCheckpointsSkipsAutoPersist(t *testing.T) {
 	hv := xen.NewHypervisor(xen.DomainConfig{Name: "Domain-0", Pages: 2048})
 	dom0, _ := hv.Domain(xen.Dom0)
 	mgr := NewManager(hv, NewMemStore(), xen.NewArena(dom0), &passGuard{}, ManagerConfig{
-		RSABits: testBits, Seed: []byte("defer"), DeferCheckpoints: true,
+		RSABits: testBits, Seed: []byte("defer"), Checkpoint: CheckpointDeferred,
 	})
 	defer mgr.Close()
 	dom, err := hv.CreateDomain(xen.DomainConfig{Name: "g", Kernel: []byte("k")})

@@ -32,20 +32,14 @@ type telemetry struct {
 	persist   *metrics.Histogram // full persist pass (worker or barrier)
 
 	// Signing-pool instruments (see internal/tpm/signpool.go): per-job RSA
-	// time and queue wait (fed by the pool's Observe hook), per-dispatch
-	// off-lane signature wait, and the batch-population distribution
-	// (recorded as a duration whose nanosecond count is the batch size).
+	// time and queue wait (fed by the pool's Observe hook) and per-dispatch
+	// off-lane signature wait.
 	signTime  *metrics.Histogram
 	signQueue *metrics.Histogram
 	signWait  *metrics.Histogram
-	signBatch *metrics.Histogram
 
 	tracer *trace.Tracer
 }
-
-// signBatchBounds buckets batch populations (the "duration" recorded is the
-// batch size in nanosecond units).
-var signBatchBounds = []int64{1, 2, 4, 8, 16, 32, 64}
 
 func newTelemetry(cfg ManagerConfig) telemetry {
 	return telemetry{
@@ -57,7 +51,6 @@ func newTelemetry(cfg ManagerConfig) telemetry {
 		signTime:  metrics.NewHistogram(nil),
 		signQueue: metrics.NewHistogram(nil),
 		signWait:  metrics.NewHistogram(nil),
-		signBatch: metrics.NewHistogram(signBatchBounds),
 		tracer: trace.New(trace.Config{
 			Depth:      cfg.TraceDepth,
 			SampleRate: cfg.TraceSampleRate,
@@ -119,11 +112,10 @@ func (m *Manager) observeDispatchSign(inst *instance, from xen.DomID, ordinal ui
 }
 
 // observeSign is the signing pool's Observe hook: one call per completed
-// RSA job (a batch counts once), from pool worker goroutines.
+// RSA job, from pool worker goroutines.
 func (m *Manager) observeSign(ev tpm.SignEvent) {
 	m.tel.signTime.Record(ev.SignTime)
 	m.tel.signQueue.Record(ev.QueueWait)
-	m.tel.signBatch.Record(time.Duration(ev.BatchSize))
 }
 
 // DispatchStats is a point-in-time digest of the manager's dispatch-path
@@ -154,30 +146,25 @@ type SignDebug struct {
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Errors    uint64 `json:"errors"`
-	// SingleSigns and BatchSigns count RSA private-key operations by kind;
-	// BatchedQuotes counts signatures delivered from batches. The
-	// amortization ratio is BatchedQuotes/BatchSigns.
-	SingleSigns   uint64 `json:"single_signs"`
-	BatchSigns    uint64 `json:"batch_signs"`
-	BatchedQuotes uint64 `json:"batched_quotes"`
+	// SingleSigns counts RSA private-key operations the pool performed.
+	SingleSigns uint64 `json:"single_signs"`
+	// BatchSigns always reads 0: the pool signs every quote on its own.
+	// The repository benchmark (stackbench) sums it with SingleSigns to
+	// count RSA operations per quote, so the field stays.
+	BatchSigns uint64 `json:"batch_signs"`
 	// DispatchErrors counts dispatches that surfaced a pool failure to the
 	// guest (the xvtpm_sign_errors_total counter).
 	DispatchErrors uint64 `json:"dispatch_errors"`
-	// SignTime digests per-job RSA time, QueueWait per-job pool wait,
-	// Wait the per-dispatch off-lane signature wait, and BatchSize the
-	// batch-population distribution (nanosecond counts are populations).
+	// SignTime digests per-job RSA time, QueueWait per-job pool wait, and
+	// Wait the per-dispatch off-lane signature wait.
 	SignTime  metrics.HistogramSummary `json:"sign_time"`
 	QueueWait metrics.HistogramSummary `json:"queue_wait"`
 	Wait      metrics.HistogramSummary `json:"wait"`
-	BatchSize metrics.HistogramSummary `json:"batch_size"`
 }
 
-// SignDebug snapshots the signing-pool instruments, or returns nil when the
-// pool is disabled.
+// SignDebug snapshots the signing-pool instruments. It never returns nil:
+// every manager runs a pool.
 func (m *Manager) SignDebug() *SignDebug {
-	if m.signPool == nil {
-		return nil
-	}
 	st := m.signPool.Stats()
 	return &SignDebug{
 		Workers:        st.Workers,
@@ -187,13 +174,10 @@ func (m *Manager) SignDebug() *SignDebug {
 		Completed:      st.Completed,
 		Errors:         st.Errors,
 		SingleSigns:    st.SingleSigns,
-		BatchSigns:     st.BatchSigns,
-		BatchedQuotes:  st.BatchedQuotes,
 		DispatchErrors: m.signErrors.Load(),
 		SignTime:       m.tel.signTime.Summarize(),
 		QueueWait:      m.tel.signQueue.Summarize(),
 		Wait:           m.tel.signWait.Summarize(),
-		BatchSize:      m.tel.signBatch.Summarize(),
 	}
 }
 
@@ -304,10 +288,9 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) error {
 		{"xvtpm_dispatch_execute_seconds", "Locked dispatch section: guard admission, engine execution, response finishing.", m.tel.execute},
 		{"xvtpm_dispatch_flush_seconds", "Synchronous checkpoint time paid on the dispatch path (eager policy or degraded instance).", m.tel.flush},
 		{"xvtpm_checkpoint_persist_seconds", "Full persist pass duration (background worker or flush barrier).", m.tel.persist},
-		{"xvtpm_sign_seconds", "RSA private-key operation time per signing-pool job (batches count once).", m.tel.signTime},
+		{"xvtpm_sign_seconds", "RSA private-key operation time per signing-pool job.", m.tel.signTime},
 		{"xvtpm_sign_queue_wait_seconds", "Time signing jobs waited in the pool before a worker picked them up.", m.tel.signQueue},
 		{"xvtpm_sign_wait_seconds", "Off-lane time dispatches spent waiting for a pooled signature.", m.tel.signWait},
-		{"xvtpm_sign_batch_size", "Signing-job batch population (bucket bounds are populations, not seconds).", m.tel.signBatch},
 	} {
 		if err := reg.RegisterHistogram(hr.name, hr.help, hr.h); err != nil {
 			return err
@@ -365,12 +348,6 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) error {
 		}},
 		{"xvtpm_sign_single_total", "Individual RSA signatures computed by the pool.", func() float64 {
 			return float64(m.signPool.Stats().SingleSigns)
-		}},
-		{"xvtpm_sign_batches_total", "Merkle batch signatures computed by the pool.", func() float64 {
-			return float64(m.signPool.Stats().BatchSigns)
-		}},
-		{"xvtpm_sign_batched_quotes_total", "Quote signatures delivered from Merkle batches.", func() float64 {
-			return float64(m.signPool.Stats().BatchedQuotes)
 		}},
 	} {
 		if err := reg.RegisterGaugeFunc(gr.name, gr.help, gr.fn); err != nil {

@@ -1,17 +1,13 @@
 // Signing-pool stress: concurrent quote storms racing steady Extend
-// traffic and create/migrate/destroy churn across two hosts, with the
-// batching window armed. Every quote — plain or batched — must verify
-// against the signing key, migrated guests must keep quoting on the
-// destination host (the pool re-attach path for imported engines), and
-// the whole test runs under `go test -race`.
+// traffic and create/migrate/destroy churn across two hosts. Every quote
+// must verify against the signing key, migrated guests must keep quoting
+// on the destination host (the pool re-attach path for imported engines),
+// and the whole test runs under `go test -race`.
 //
 // Per-guest ring devices serialize commands (one serve loop per device,
 // and improved-mode channels are a strictly monotonic sequence stream),
-// so storm quotes here exercise the deferred two-phase dispatch — lane
-// released while the pool signs — rather than multi-member Merkle
-// batches; concurrent batch formation is covered by the signpool unit
-// tests and the E20 batched-attestation streams, which drive one engine
-// from many clients below the channel layer.
+// so storm quotes here exercise the deferred two-phase dispatch: the lane
+// is released while the pool signs.
 package xvtpm_test
 
 import (
@@ -28,13 +24,11 @@ import (
 func TestSignPoolStormUnderChurn(t *testing.T) {
 	mkHost := func(name string) *xvtpm.Host {
 		h, err := xvtpm.NewHost(xvtpm.HostConfig{
-			Name:            name,
-			Mode:            xvtpm.ModeImproved,
-			RSABits:         512,
-			Dom0Pages:       16384,
-			PipelineDepth:   4,
-			SignBatchWindow: 2 * time.Millisecond,
-			SignBatchMax:    8,
+			Name:          name,
+			Mode:          xvtpm.ModeImproved,
+			RSABits:       512,
+			Dom0Pages:     16384,
+			PipelineDepth: 4,
 		})
 		if err != nil {
 			t.Fatalf("NewHost(%s): %v", name, err)
@@ -59,7 +53,7 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 	// key, returning its handle, the wrapped blob (to re-load after a
 	// migration — loaded handles are volatile and do not survive one) and
 	// a verified-quote helper.
-	provision := func(g *xvtpm.Guest) (uint32, []byte, func(c *tpm.Client, key uint32, n uint64) (bool, error)) {
+	provision := func(g *xvtpm.Guest) (uint32, []byte, func(c *tpm.Client, key uint32, n uint64) error) {
 		t.Helper()
 		if _, err := g.TPM.TakeOwnership(owner, srk); err != nil {
 			t.Fatalf("TakeOwnership: %v", err)
@@ -78,22 +72,18 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GetPubKey: %v", err)
 		}
-		quote := func(c *tpm.Client, key uint32, n uint64) (bool, error) {
+		quote := func(c *tpm.Client, key uint32, n uint64) error {
 			var nonce [tpm.NonceSize]byte
 			nonce[0], nonce[1], nonce[2] = byte(n), byte(n>>8), byte(n>>16)
 			q, err := c.Quote(key, keyAuth, nonce, sel)
 			if err != nil {
-				return false, err
+				return err
 			}
 			psel, vals, err := tpm.ParseQuoteComposite(q.Composite)
 			if err != nil {
-				return false, err
+				return err
 			}
-			digest := tpm.QuoteInfoDigest(tpm.CompositeHash(psel, vals), nonce)
-			if err := tpm.VerifyBatchedQuote(pub, digest, q.Signature); err != nil {
-				return false, err
-			}
-			return tpm.IsBatchedQuote(q.Signature), nil
+			return tpm.VerifySHA1(pub, tpm.QuoteInfoDigest(tpm.CompositeHash(psel, vals), nonce), q.Signature)
 		}
 		return key, blob, quote
 	}
@@ -101,7 +91,7 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var wg, churnWg sync.WaitGroup
 	errCh := make(chan error, 16)
-	var quotes, batched atomic.Int64
+	var quotes atomic.Int64
 
 	// Quote storms: two guests, three concurrent streams each through the
 	// pipelined frontend — every signature routed through the shared pool.
@@ -133,15 +123,11 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 						return
 					default:
 					}
-					wasBatched, err := quote(c, key, n)
-					if err != nil {
+					if err := quote(c, key, n); err != nil {
 						errCh <- fmt.Errorf("quote-%d stream %d: %w", gi, s, err)
 						return
 					}
 					quotes.Add(1)
-					if wasBatched {
-						batched.Add(1)
-					}
 				}
 			}(gi, s, cli)
 		}
@@ -197,7 +183,7 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 					return
 				}
 				key, blob, quote := provision(g)
-				if _, err := quote(g.TPM, key, uint64(n)); err != nil {
+				if err := quote(g.TPM, key, uint64(n)); err != nil {
 					errCh <- fmt.Errorf("%s pre-migrate quote: %w", name, err)
 					return
 				}
@@ -213,7 +199,7 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 					errCh <- fmt.Errorf("%s post-migrate LoadKey2: %w", name, err)
 					return
 				}
-				if _, err := quote(mg.TPM, key2, uint64(n)+1000); err != nil {
+				if err := quote(mg.TPM, key2, uint64(n)+1000); err != nil {
 					errCh <- fmt.Errorf("%s post-migrate quote: %w", name, err)
 					return
 				}
@@ -226,8 +212,8 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 	}
 
 	// Run the churn to completion under the storm, keep the storm up for
-	// at least half a second so the batch windows see sustained overlap,
-	// then stop everything.
+	// at least half a second so the pool sees sustained overlap, then stop
+	// everything.
 	churnDone := make(chan struct{})
 	go func() { churnWg.Wait(); close(churnDone) }()
 	minStorm := time.After(500 * time.Millisecond)
@@ -256,7 +242,7 @@ func TestSignPoolStormUnderChurn(t *testing.T) {
 	if quotes.Load() == 0 {
 		t.Fatal("storm issued no quotes")
 	}
-	t.Logf("storm: %d quotes verified (%d batched)", quotes.Load(), batched.Load())
+	t.Logf("storm: %d quotes verified", quotes.Load())
 	sd := src.Manager.SignDebug()
 	if sd == nil {
 		t.Fatal("sign pool not running on src")

@@ -118,17 +118,6 @@ type HostConfig struct {
 	// EKPoolSize pre-generates instance RSA keys in the background
 	// (experiments E3, E20), shared by every instance on the host.
 	EKPoolSize int
-	// SignWorkers sizes the shared RSA signing pool that takes Quote, Sign
-	// and CertifyKey private-key operations off the dispatch lanes. Zero
-	// means tpm.DefaultSignWorkers (pool on by default); negative disables
-	// the pool (inline signing under the instance lock).
-	SignWorkers int
-	// SignBatchWindow, when positive, Merkle-batches concurrent quotes
-	// against the same key within the window under one root signature.
-	SignBatchWindow time.Duration
-	// SignBatchMax seals a quote batch early at this population (zero
-	// means tpm.DefaultSignBatchMax when the window is positive).
-	SignBatchMax int
 	// Checkpoint selects the manager's state-persistence policy: eager
 	// (default), writeback or deferred. See vtpm.CheckpointPolicy.
 	Checkpoint vtpm.CheckpointPolicy
@@ -356,9 +345,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		RSABits:          cfg.RSABits,
 		Seed:             mgrSeed,
 		EKPoolSize:       cfg.EKPoolSize,
-		SignWorkers:      cfg.SignWorkers,
-		SignBatchWindow:  cfg.SignBatchWindow,
-		SignBatchMax:     cfg.SignBatchMax,
 		Checkpoint:       cfg.Checkpoint,
 		MaxDirtyCommands: cfg.MaxDirtyCommands,
 		MaxDirtyInterval: cfg.MaxDirtyInterval,
