@@ -4,7 +4,7 @@ GO ?= go
 # globally. Offline environments fall back to go vet with a warning.
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 
-.PHONY: all build vet test race bench bench-smoke bench-gate capacity-smoke capacity-gate chaos lint cover stackbench-check ci clean
+.PHONY: all build vet test race bench bench-smoke bench-gate chaos lint cover stackbench-check ci clean
 
 all: build
 
@@ -41,20 +41,6 @@ bench-smoke:
 BENCH_BASELINE ?= auto
 bench-gate:
 	$(GO) run ./cmd/benchrunner -check $(BENCH_BASELINE)
-
-# PR-time capacity shape check: re-run the deterministic modeled load sweep
-# and fail on structural violations (goodput above offered, missing knee,
-# inverted percentiles, dropped arrivals). No baseline comparison — that is
-# the nightly capacity workflow's job (capacity-gate below).
-capacity-smoke:
-	$(GO) run ./cmd/benchrunner -capacity-smoke
-
-# Authoritative capacity gate: compare only the deterministic Capacity* rows
-# against the committed baseline. Machine-independent (modeled virtual time),
-# so unlike bench-gate it is exact everywhere — the nightly workflow runs it
-# without continue-on-error.
-capacity-gate:
-	$(GO) run ./cmd/benchrunner -capacity-check $(BENCH_BASELINE)
 
 # gofmt first (any file it lists fails lint), then staticcheck when the
 # module cache / network can supply it, go vet otherwise (this repo must
@@ -94,7 +80,7 @@ chaos:
 stackbench-check:
 	cd stackbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet lint build test race bench-smoke capacity-smoke chaos stackbench-check
+ci: vet lint build test race bench-smoke chaos stackbench-check
 
 clean:
 	$(GO) clean ./...

@@ -6,16 +6,13 @@
 // checkpoint store, E18 federation drain/evacuation/fault-storm, E19
 // open-loop capacity sweep, E20 signing pool),
 // printed as aligned text tables and series.
-// It also hosts the CI benchmark-regression gate (-bench / -check) and
-// the capacity gate (-capacity-check / -capacity-smoke).
+// It also hosts the CI benchmark-regression gate (-bench / -check).
 //
 // Usage:
 //
 //	benchrunner [-exp all|E1|E2|...|E20] [-bits 512] [-quick]
 //	benchrunner -bench [-out BENCH.json]
 //	benchrunner -check BENCH_baseline.json|auto [-tolerance 0.15]
-//	benchrunner -capacity-check BENCH_baseline.json|auto
-//	benchrunner -capacity-smoke
 //
 // With -bench the gate's benchmark suite runs and its results print as JSON
 // (to -out when given, else stdout). With -check the suite runs and is
@@ -24,12 +21,6 @@
 // table and exits 1 — the CI benchmark-regression gate. The baseline "auto"
 // resolves the highest-numbered committed BENCH_<n>.json, so baseline bumps
 // stop editing Makefile and workflows.
-//
-// -capacity-check compares only the deterministic Capacity* rows (modeled
-// virtual-time sweep; identical numbers on every machine) — the nightly
-// capacity workflow runs it authoritatively. -capacity-smoke re-runs the
-// modeled sweep and checks structural invariants without a baseline — the
-// cheap PR-time shape check inside `make ci`.
 //
 // Absolute numbers are those of this Go reproduction on the local machine;
 // the claims under test are the relative shapes (baseline vs improved),
@@ -78,10 +69,9 @@ func runBenchSuite(cfg experiments.Config, out string) error {
 	return rep.WriteJSON(w)
 }
 
-// runBenchCheck handles -check and -capacity-check: run the suite (or just
-// the capacity rows), compare, exit non-zero on regression via the
-// returned error.
-func runBenchCheck(cfg experiments.Config, baselinePath string, tolerance float64, names ...string) error {
+// runBenchCheck handles -check: run the suite, compare, exit non-zero on
+// regression via the returned error.
+func runBenchCheck(cfg experiments.Config, baselinePath string, tolerance float64) error {
 	baselinePath, err := resolveBaseline(baselinePath)
 	if err != nil {
 		return err
@@ -90,21 +80,7 @@ func runBenchCheck(cfg experiments.Config, baselinePath string, tolerance float6
 	if err != nil {
 		return fmt.Errorf("loading baseline: %w", err)
 	}
-	if len(names) > 0 {
-		// Restrict the baseline to the requested rows so the missing-row
-		// failure mode stays scoped to them.
-		kept := base.Results[:0]
-		for _, r := range base.Results {
-			for _, n := range names {
-				if r.Name == n {
-					kept = append(kept, r)
-					break
-				}
-			}
-		}
-		base.Results = kept
-	}
-	cur, err := experiments.RunBenchSuite(cfg, names...)
+	cur, err := experiments.RunBenchSuite(cfg)
 	if err != nil {
 		return err
 	}
@@ -124,24 +100,17 @@ func main() {
 	bench := flag.Bool("bench", false, "run the benchmark-gate suite and emit JSON instead of experiments")
 	out := flag.String("out", "", "with -bench: write the JSON report to this file")
 	check := flag.String("check", "", "run the gate suite and compare against this baseline JSON (or 'auto'); exit 1 on regression")
-	capCheck := flag.String("capacity-check", "", "compare only the deterministic Capacity* rows against this baseline JSON (or 'auto')")
-	capSmoke := flag.Bool("capacity-smoke", false, "run the modeled capacity sweep and check structural invariants (no baseline)")
 	tolerance := flag.Float64("tolerance", experiments.DefaultBenchTolerance,
 		"with -check: relative ns/op regression that fails the gate")
 	flag.Parse()
 
 	cfg := experiments.Config{RSABits: *bits, Quick: *quick, Out: os.Stdout}
 
-	if *bench || *check != "" || *capCheck != "" || *capSmoke {
+	if *bench || *check != "" {
 		var err error
-		switch {
-		case *capSmoke:
-			err = experiments.CapacitySmoke(os.Stdout)
-		case *capCheck != "":
-			err = runBenchCheck(cfg, *capCheck, *tolerance, experiments.CapacityRowNames...)
-		case *check != "":
+		if *check != "" {
 			err = runBenchCheck(cfg, *check, *tolerance)
-		default:
+		} else {
 			err = runBenchSuite(cfg, *out)
 		}
 		if err != nil {

@@ -26,6 +26,7 @@ import (
 	"crypto/sha1"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -329,8 +330,10 @@ func (c *console) handle(line string) bool {
 			c.printf("usage: load <offered-cps> <duration> [slots]\n")
 			break
 		}
+		// Refused here, before any load slot is opened and prepared;
+		// ParseFloat accepts "nan" and "inf".
 		offered, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || offered <= 0 {
+		if err != nil || !(offered > 0) || math.IsInf(offered, 1) {
 			c.printf("load: bad offered rate %q\n", fields[1])
 			break
 		}

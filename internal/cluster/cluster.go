@@ -34,32 +34,17 @@ type Config struct {
 	// shared-key distribution only applies to ModeImproved (baseline
 	// persists plaintext and needs no key to share).
 	Mode xvtpm.Mode
-	// RSABits, Seed, Dom0Pages, Checkpoint, MaxDirtyCommands,
-	// MaxDirtyInterval, PipelineDepth and Profile pass through to each
-	// member's HostConfig.
-	RSABits          int
-	Seed             []byte
-	Dom0Pages        int
-	Checkpoint       vtpm.CheckpointPolicy
-	MaxDirtyCommands int
-	MaxDirtyInterval time.Duration
-	PipelineDepth    int
-	Profile          tpm.Profile
-	// LogStore tunes the shared checkpoint log all members write through
-	// their fenced prefixes. The NotFound sentinel is forced to
-	// vtpm.ErrNoState.
-	LogStore logstore.Config
+	// RSABits, Seed and Dom0Pages pass through to each member's
+	// HostConfig; every other host setting keeps its default.
+	RSABits   int
+	Seed      []byte
+	Dom0Pages int
 	// TransferRetry bounds the migration transfer leg's retry loop; zero
 	// fields take the vtpm defaults.
 	TransferRetry vtpm.RetryPolicy
 	// Injector, when set, decides one faults.OpTransfer verdict per
 	// transfer-leg attempt — the chaos hook.
 	Injector *faults.Injector
-	// SuspectAfter is how long without a heartbeat before a member turns
-	// Suspect; CondemnAfter is how much longer before it is Condemned.
-	// Zeros mean 2s and 2s.
-	SuspectAfter time.Duration
-	CondemnAfter time.Duration
 }
 
 // Member is one federated host.
@@ -96,9 +81,6 @@ type Cluster struct {
 	inj    *faults.Injector
 	mode   xvtpm.Mode
 
-	suspectAfter time.Duration
-	condemnAfter time.Duration
-
 	mu      sync.Mutex
 	members []*Member
 	byName  map[string]*Member
@@ -127,25 +109,15 @@ func New(cfg Config) (*Cluster, error) {
 	if n < 2 {
 		return nil, errors.New("cluster: need at least 2 hosts")
 	}
-	lcfg := cfg.LogStore
-	lcfg.NotFound = vtpm.ErrNoState
 	c := &Cluster{
-		dir:          NewDirectory(),
-		shared:       logstore.New(lcfg),
-		retry:        cfg.TransferRetry,
-		inj:          cfg.Injector,
-		mode:         cfg.Mode,
-		suspectAfter: cfg.SuspectAfter,
-		condemnAfter: cfg.CondemnAfter,
-		byName:       make(map[string]*Member),
-		recs:         make(map[string]*record),
-		blackout:     metrics.NewHistogram(nil),
-	}
-	if c.suspectAfter <= 0 {
-		c.suspectAfter = 2 * time.Second
-	}
-	if c.condemnAfter <= 0 {
-		c.condemnAfter = 2 * time.Second
+		dir:      NewDirectory(),
+		shared:   logstore.New(logstore.Config{NotFound: vtpm.ErrNoState}),
+		retry:    cfg.TransferRetry,
+		inj:      cfg.Injector,
+		mode:     cfg.Mode,
+		byName:   make(map[string]*Member),
+		recs:     make(map[string]*record),
+		blackout: metrics.NewHistogram(nil),
 	}
 	// The federation master: a cluster-wide secret state-envelope keys
 	// derive from. Deterministic under a seeded cluster so experiments
@@ -166,17 +138,12 @@ func New(cfg Config) (*Cluster, error) {
 			seed = append(append([]byte(nil), cfg.Seed...), []byte("|"+name)...)
 		}
 		h, err := xvtpm.NewHost(xvtpm.HostConfig{
-			Name:             name,
-			Mode:             cfg.Mode,
-			RSABits:          cfg.RSABits,
-			Seed:             seed,
-			Dom0Pages:        cfg.Dom0Pages,
-			Checkpoint:       cfg.Checkpoint,
-			MaxDirtyCommands: cfg.MaxDirtyCommands,
-			MaxDirtyInterval: cfg.MaxDirtyInterval,
-			PipelineDepth:    cfg.PipelineDepth,
-			Profile:          cfg.Profile,
-			Store:            fs,
+			Name:      name,
+			Mode:      cfg.Mode,
+			RSABits:   cfg.RSABits,
+			Seed:      seed,
+			Dom0Pages: cfg.Dom0Pages,
+			Store:     fs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: booting %s: %w", name, err)

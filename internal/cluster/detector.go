@@ -18,16 +18,23 @@ import (
 // last committed checkpoint at a freshly bumped epoch. Time is passed in
 // explicitly so experiments drive the state machine without real waiting.
 
+// A member silent for suspectAfter turns Suspect; silent for condemnAfter
+// longer, it is Condemned.
+const (
+	suspectAfter = 2 * time.Second
+	condemnAfter = 2 * time.Second
+)
+
 // FailState is one member's liveness verdict.
 type FailState int
 
 const (
 	// Alive members heartbeat on schedule.
 	Alive FailState = iota
-	// Suspect members have missed beats for SuspectAfter; they take no new
+	// Suspect members have missed beats for suspectAfter; they take no new
 	// placements but are not yet acted on (a stall may recover).
 	Suspect
-	// Condemned members missed beats for SuspectAfter+CondemnAfter; they
+	// Condemned members missed beats for suspectAfter+condemnAfter; they
 	// are fenced, sealed and evacuated, and never return.
 	Condemned
 )
@@ -89,10 +96,10 @@ func (c *Cluster) CheckFailures(now time.Time) []string {
 		}
 		silent := now.Sub(m.lastBeat)
 		switch {
-		case silent > c.suspectAfter+c.condemnAfter:
+		case silent > suspectAfter+condemnAfter:
 			m.fail = Condemned
 			condemned = append(condemned, m.Name)
-		case silent > c.suspectAfter:
+		case silent > suspectAfter:
 			m.fail = Suspect
 		default:
 			m.fail = Alive

@@ -648,27 +648,6 @@ func RunBenchSuite(cfg Config, names ...string) (*BenchReport, error) {
 		add("EvacuateDeadHost", testing.BenchmarkResult{N: es.Revived, T: es.Elapsed}, 0)
 	}
 
-	// Deterministic capacity rows (see capacitygate.go): appended when any
-	// of them is wanted, computed in one sweep.
-	capWanted := false
-	for _, n := range CapacityRowNames {
-		if wanted(n) {
-			capWanted = true
-			break
-		}
-	}
-	if capWanted {
-		capRows, err := CapacityRows()
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range capRows {
-			if wanted(row.Name) {
-				rep.Results = append(rep.Results, row)
-			}
-		}
-	}
-
 	return rep, nil
 }
 

@@ -120,8 +120,10 @@ func calibrate(slots []loadgen.Slot, window time.Duration, seed int64) (float64,
 	return float64(total.Load()) / window.Seconds(), nil
 }
 
-// probeService measures per-op mean service time on one representative 1.2
-// slot (closed loop, small rep count) for the busy-share attribution.
+// probeService measures per-op median service time on one representative
+// 1.2 slot (closed loop, small rep count) for the busy-share attribution.
+// The median, not the mean: one preempted rep would otherwise inflate a
+// cheap op's estimate several-fold and hand it the attribution.
 func probeService(step loadgen.Stepper, reps int) (map[workload.Op]time.Duration, error) {
 	est := make(map[workload.Op]time.Duration, 4)
 	for _, op := range []workload.Op{workload.OpGetRandom, workload.OpExtend, workload.OpSeal, workload.OpQuote} {
@@ -133,7 +135,7 @@ func probeService(step loadgen.Stepper, reps int) (map[workload.Op]time.Duration
 			}
 			rec.Add(time.Since(start))
 		}
-		est[op] = rec.Mean()
+		est[op] = rec.Percentile(50)
 	}
 	return est, nil
 }

@@ -237,7 +237,7 @@ func E18Federation(cfg Config) (*E18Report, error) {
 	for _, m := range c.Members() {
 		c.Beat(m.Name, t0)
 	}
-	t1 := t0.Add(3 * time.Second) // past SuspectAfter (2s), short of condemnation
+	t1 := t0.Add(3 * time.Second) // past the 2s suspect window, short of condemnation
 	c.Beat("h0", t1)
 	c.Beat("h2", t1)
 	if condemned := c.CheckFailures(t1); len(condemned) != 0 {
@@ -246,7 +246,7 @@ func E18Federation(cfg Config) (*E18Report, error) {
 	if st, _ := c.FailStateOf("h1"); st != cluster.Suspect {
 		return nil, fmt.Errorf("E18: h1 is %v at suspect horizon, want suspect", st)
 	}
-	t2 := t0.Add(5 * time.Second) // past SuspectAfter+CondemnAfter (4s)
+	t2 := t0.Add(5 * time.Second) // past suspect plus condemn windows (4s)
 	c.Beat("h0", t2)
 	c.Beat("h2", t2)
 	condemned := c.CheckFailures(t2)

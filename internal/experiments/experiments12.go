@@ -3,14 +3,10 @@ package experiments
 // E20 — signing pool (extension; DESIGN.md §14). The signing pool moves
 // RSA private-key operations off the dispatch critical path: quotes
 // snapshot their digest under the instance lock, release it, and complete
-// when a pooled worker delivers the plain signature. E20 quantifies what
-// that buys and proves the pooled quote verifies like the inline one:
+// when a pooled worker delivers the plain signature. E20 proves the pooled
+// quote verifies like the inline one and measures what the pools cost:
 //
-//   - Model: the committed capacity-gate scenario replayed with the sign
-//     pool on and off. The knee must move by at least 1.5×, and the
-//     dispatch-lane busy time attributed to Quote must fall below Extend
-//     and GetRandom combined (it dominates them inline).
-//   - Real engine: per-quote cost inline vs pooled, measured end-to-end
+//   - Quote cost: per-quote cost inline vs pooled, measured end-to-end
 //     through AIK enrollment and attest.Verifier — every quote must
 //     verify, with zero equivalence failures.
 //   - Fleet create: instance creation against the background-replenished
@@ -22,23 +18,12 @@ import (
 
 	"xvtpm"
 	"xvtpm/internal/attest"
-	"xvtpm/internal/loadgen"
 	"xvtpm/internal/metrics"
 	"xvtpm/internal/tpm"
-	"xvtpm/internal/workload"
 )
 
 // E20Report is the measured summary.
 type E20Report struct {
-	// Modeled capacity: the gate scenario with and without the pool.
-	KneeInline float64 // commands/sec
-	KneePooled float64
-	KneeRatio  float64
-	// Dispatch-lane busy-share attribution (fraction of lane busy time).
-	QuoteBusyShareInline  float64
-	QuoteBusyShare        float64
-	ExtendRandomBusyShare float64
-
 	// Real-engine quote cost, end to end (enroll-verified), in µs.
 	InlineQuoteUs float64
 	PooledQuoteUs float64
@@ -51,59 +36,6 @@ type E20Report struct {
 	CreateNoPoolSecs float64
 	CreatePoolSecs   float64
 	CreateSpeedup    float64
-}
-
-// e20Knee sweeps a scenario's rate ladder through the model and returns
-// the saturation-knee rate.
-func e20Knee(s *loadgen.Scenario) (float64, error) {
-	var points []loadgen.SweepPoint
-	for _, rate := range s.SweepRates() {
-		rep, err := loadgen.RunModel(s.ModelConfig(rate))
-		if err != nil {
-			return 0, fmt.Errorf("model at %.0f cps: %w", rate, err)
-		}
-		points = append(points, loadgen.SweepPoint{
-			Offered: rate, Throughput: rep.Throughput, Goodput: rep.Goodput,
-			P99: rep.P99, P999: rep.P999, SLOFrac: rep.SLOFraction(),
-		})
-	}
-	knee, ok := loadgen.FindKnee(points)
-	if !ok {
-		return 0, fmt.Errorf("ladder never saturates: %v", points)
-	}
-	return knee, nil
-}
-
-// e20BusyShare attributes dispatch-lane busy time to op: mix weight ×
-// the time the op holds a dispatch lane (prep only when its signature is
-// pooled), normalized over the mix.
-func e20BusyShare(s *loadgen.Scenario, pooled bool, ops ...workload.Op) float64 {
-	var total, picked float64
-	for op, w := range s.Mix {
-		if w <= 0 {
-			continue
-		}
-		hold := s.Service[op]
-		if pooled && s.SignWorkers > 0 {
-			if sc := s.SignCost[op]; sc > 0 {
-				if hold -= sc; hold < time.Nanosecond {
-					hold = time.Nanosecond
-				}
-			}
-		}
-		t := float64(w) * hold.Seconds()
-		total += t
-		for _, want := range ops {
-			if op == want {
-				picked += t
-				break
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return picked / total
 }
 
 // e20Rig is one direct-transport engine with an enrolled AIK and a
@@ -169,40 +101,12 @@ func (r *e20Rig) quote() error {
 	return r.verifier.VerifyQuote(r.cert, nonce, q)
 }
 
-// E20SignPool runs the three phases and renders the summary table.
+// E20SignPool runs the two phases and renders the summary table.
 func E20SignPool(cfg Config) (*E20Report, error) {
 	rep := &E20Report{}
+	var err error
 
-	// Phase 1 — model. The pooled knee comes from the committed gate
-	// scenario verbatim; the inline knee from the same scenario with the
-	// pool stripped, so the two ladders differ only in where signatures
-	// run. SLO tables are identical: the knee moves at unchanged SLOs.
-	pooled, err := loadgen.ParseScenario(CapacityScenarioText)
-	if err != nil {
-		return nil, fmt.Errorf("E20 scenario: %w", err)
-	}
-	inline := *pooled
-	inline.SignWorkers, inline.SignCost = 0, nil
-	if rep.KneeInline, err = e20Knee(&inline); err != nil {
-		return nil, fmt.Errorf("E20 inline sweep: %w", err)
-	}
-	if rep.KneePooled, err = e20Knee(pooled); err != nil {
-		return nil, fmt.Errorf("E20 pooled sweep: %w", err)
-	}
-	rep.KneeRatio = rep.KneePooled / rep.KneeInline
-	if rep.KneeRatio < 1.5 {
-		return nil, fmt.Errorf("E20: pooled knee %.0f/s is only %.2fx the inline %.0f/s (floor 1.5x)",
-			rep.KneePooled, rep.KneeRatio, rep.KneeInline)
-	}
-	rep.QuoteBusyShareInline = e20BusyShare(pooled, false, workload.OpQuote)
-	rep.QuoteBusyShare = e20BusyShare(pooled, true, workload.OpQuote)
-	rep.ExtendRandomBusyShare = e20BusyShare(pooled, true, workload.OpExtend, workload.OpGetRandom)
-	if rep.QuoteBusyShare >= rep.ExtendRandomBusyShare {
-		return nil, fmt.Errorf("E20: Quote still holds %.1f%% of dispatch-lane busy time, above Extend+GetRandom's %.1f%%",
-			100*rep.QuoteBusyShare, 100*rep.ExtendRandomBusyShare)
-	}
-
-	// Phase 2 — real engine, end to end through the attest package.
+	// Phase 1 — real engine, end to end through the attest package.
 	reps := cfg.reps(60, 8)
 	seqRun := func(seed string, pool *tpm.SignPool) (float64, error) {
 		rig, err := newE20Rig(cfg.bits(), seed, pool)
@@ -231,7 +135,7 @@ func E20SignPool(cfg Config) (*E20Report, error) {
 		return nil, fmt.Errorf("E20 pooled quotes: %w", err)
 	}
 
-	// Phase 3 — fleet create with and without the background key pool.
+	// Phase 2 — fleet create with and without the background key pool.
 	rep.FleetN = cfg.reps(32, 6)
 	for _, poolSize := range []int{0, rep.FleetN} {
 		h, err := newHost(cfg, xvtpm.ModeImproved, func(hc *xvtpm.HostConfig) {
@@ -269,10 +173,6 @@ func E20SignPool(cfg Config) (*E20Report, error) {
 		row := func(metric, value string) []string { return []string{metric, value} }
 		metrics.Table(cfg.Out, "E20 (extension) — signing pool: offloaded quotes, key pool",
 			[]string{"metric", "value"}, [][]string{
-				row("modeled knee", fmt.Sprintf("%.0f/s inline → %.0f/s pooled (%.2fx, floor 1.5x, SLOs unchanged)",
-					rep.KneeInline, rep.KneePooled, rep.KneeRatio)),
-				row("quote busy share", fmt.Sprintf("%.1f%% inline → %.1f%% pooled (extend+getrandom %.1f%%)",
-					100*rep.QuoteBusyShareInline, 100*rep.QuoteBusyShare, 100*rep.ExtendRandomBusyShare)),
 				row("quote+verify median", fmt.Sprintf("inline %.0fµs, pooled %.0fµs", rep.InlineQuoteUs, rep.PooledQuoteUs)),
 				row("attestation", fmt.Sprintf("%d verified, %d failures",
 					rep.QuotesVerified, rep.EquivalenceFailures)),

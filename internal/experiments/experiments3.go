@@ -129,7 +129,12 @@ func E8StorageOverhead(cfg Config) ([]E8Row, error) {
 	for _, nv := range nvCounts {
 		sizes := make(map[xvtpm.Mode]int)
 		for _, mode := range Modes {
-			h, err := newHost(cfg, mode)
+			// Seeded under a fixed name, so every run stores the same
+			// key material and the table is exact, not ±1 byte.
+			h, err := newHost(cfg, mode, func(hc *xvtpm.HostConfig) {
+				hc.Name = "e8-" + mode.String()
+				hc.Seed = []byte("e8-storage")
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -235,9 +235,23 @@ func TestE8EnvelopeOverheadSmallAndConstant(t *testing.T) {
 		if r.EnvelopeBytes-r.PlainBytes > 256 {
 			t.Fatalf("envelope overhead too large: %+v", r)
 		}
+		// The envelope is a fixed header and tag: its overhead does not
+		// grow with the state it wraps.
+		if d, d0 := r.EnvelopeBytes-r.PlainBytes, rows[0].EnvelopeBytes-rows[0].PlainBytes; d != d0 {
+			t.Fatalf("envelope overhead %+d at %d NV areas, %+d at %d", d, r.NVAreas, d0, rows[0].NVAreas)
+		}
 	}
 	// More NV areas → bigger blobs.
 	if rows[len(rows)-1].PlainBytes <= rows[0].PlainBytes {
 		t.Fatal("NV growth not reflected in blob size")
+	}
+	// Seeded hosts store identical blobs: a second run gives the same
+	// table, byte for byte.
+	again, err := E8StorageOverhead(Config{RSABits: 512, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(again) != fmt.Sprint(rows) {
+		t.Fatalf("E8 rows differ between runs:\n%+v\n%+v", rows, again)
 	}
 }

@@ -10,13 +10,8 @@
 // simulated guest has a heavy-tailed arrival rate (bounded Pareto) and an
 // operation mix drawn from internal/workload traits, and the resulting
 // per-guest Poisson streams are multiplexed onto a small pool of real
-// execution slots (manager load sessions or guest clients). Two executors
-// share the schedule and reporting code:
-//
-//   - Run drives real slots on the wall clock (E19, vtpmctl load).
-//   - RunModel replays the same schedule through a deterministic
-//     virtual-time multi-server queue (the CI capacity gate: same numbers
-//     on every machine).
+// execution slots (manager load sessions or guest clients). Run drives
+// those slots on the wall clock (E19, vtpmctl load).
 package loadgen
 
 import (
@@ -48,8 +43,8 @@ var Mix20 = workload.Mix{
 	workload.OpQuote:     20,
 }
 
-// DefaultSLO is the per-command latency objective used when a config gives
-// none: generous for RSA-backed ops, tight for the cheap path.
+// DefaultSLO is the per-command latency objective every run is judged
+// against: generous for RSA-backed ops, tight for the cheap path.
 var DefaultSLO = map[workload.Op]time.Duration{
 	workload.OpGetRandom: 2 * time.Millisecond,
 	workload.OpExtend:    2 * time.Millisecond,
@@ -82,7 +77,7 @@ type Report struct {
 	Completed  int64         // responses received (ok or TPM error)
 	Errors     int64         // non-ok responses
 	WithinSLO  int64         // completions within their op's SLO
-	Elapsed    time.Duration // wall (or virtual) time to drain the schedule
+	Elapsed    time.Duration // wall time to drain the schedule
 	Throughput float64       // Completed / Elapsed
 	Goodput    float64       // WithinSLO / Elapsed
 
@@ -92,11 +87,6 @@ type Report struct {
 	// generator itself fell behind schedule; already inside the
 	// latency numbers above, reported separately for diagnosis).
 	LatenessP99, LatenessMax time.Duration
-
-	// Closed-loop comparison digest (modeled runs only): the same
-	// completions timed from *actual* send, the number a coordinated-
-	// omission-blind recorder would report.
-	ClosedP50, ClosedP99, ClosedP999 time.Duration
 
 	PerOp []OpStats
 }
@@ -115,11 +105,10 @@ func (r *Report) String() string {
 		r.Offered, r.Goodput, 100*r.SLOFraction(), r.P99, r.P999, r.LatenessP99)
 }
 
-// collector accumulates one executor's samples without locking; executors
-// keep one per slot and merge at the end.
+// collector accumulates one slot's samples without locking; Run keeps one
+// per slot and merges them at the end.
 type collector struct {
 	lat      [][]int64 // per-op open-loop latencies, ns
-	closed   []int64   // closed-loop latencies (modeled runs)
 	lateness []int64
 	errs     []int64 // per-op
 }
@@ -141,7 +130,6 @@ func (c *collector) merge(o *collector) {
 		c.lat[i] = append(c.lat[i], o.lat[i]...)
 		c.errs[i] += o.errs[i]
 	}
-	c.closed = append(c.closed, o.closed...)
 	c.lateness = append(c.lateness, o.lateness...)
 }
 
@@ -164,9 +152,9 @@ func sortedCopy(v []int64) []int64 {
 	return out
 }
 
-// report assembles the Report from merged samples. slo entries missing an
-// op fall back to DefaultSLO.
-func (c *collector) report(guests, slots int, offered float64, horizon, elapsed time.Duration, scheduled int64, slo map[workload.Op]time.Duration) *Report {
+// report assembles the Report from merged samples, judging each op against
+// DefaultSLO.
+func (c *collector) report(guests, slots int, offered float64, horizon, elapsed time.Duration, scheduled int64) *Report {
 	r := &Report{
 		Guests: guests, Slots: slots, Offered: offered,
 		Horizon: horizon, Scheduled: scheduled, Elapsed: elapsed,
@@ -177,10 +165,7 @@ func (c *collector) report(guests, slots int, offered float64, horizon, elapsed 
 		if len(lats) == 0 && c.errs[op] == 0 {
 			continue
 		}
-		objective := slo[op]
-		if objective == 0 {
-			objective = DefaultSLO[op]
-		}
+		objective := DefaultSLO[op]
 		s := sortedCopy(lats)
 		var within int64
 		for _, l := range s {
@@ -210,10 +195,6 @@ func (c *collector) report(guests, slots int, offered float64, horizon, elapsed 
 	r.LatenessP99 = pctl(late, 99)
 	if n := len(late); n > 0 {
 		r.LatenessMax = time.Duration(late[n-1])
-	}
-	if len(c.closed) > 0 {
-		cl := sortedCopy(c.closed)
-		r.ClosedP50, r.ClosedP99, r.ClosedP999 = pctl(cl, 50), pctl(cl, 99), pctl(cl, 99.9)
 	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		r.Throughput = float64(r.Completed) / sec

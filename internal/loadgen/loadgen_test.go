@@ -12,7 +12,7 @@ import (
 
 func TestRateTableShape(t *testing.T) {
 	const n, total = 10000, 50000.0
-	rates := rateTable(n, 7, 1.1, 1000, total)
+	rates := rateTable(n, 7, total)
 	if len(rates) != n {
 		t.Fatalf("got %d rates", len(rates))
 	}
@@ -43,7 +43,7 @@ func TestRateTableShape(t *testing.T) {
 	if top < 0.05*total {
 		t.Fatalf("tail too light: guests above 20x mean carry only %.1f%% of load", 100*top/total)
 	}
-	again := rateTable(n, 7, 1.1, 1000, total)
+	again := rateTable(n, 7, total)
 	for i := range rates {
 		if rates[i] != again[i] {
 			t.Fatalf("rate table not deterministic at %d", i)
@@ -54,7 +54,7 @@ func TestRateTableShape(t *testing.T) {
 func TestScheduleOrderedAndOnRate(t *testing.T) {
 	const guests, offered = 5000, 100000.0
 	horizon := 500 * time.Millisecond
-	rates := rateTable(guests, 3, 1.1, 1000, offered)
+	rates := rateTable(guests, 3, offered)
 	ids := make([]int32, guests)
 	for i := range ids {
 		ids[i] = int32(i)

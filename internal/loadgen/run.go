@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"time"
 
@@ -27,10 +28,7 @@ type Config struct {
 	Offered  float64       // aggregate arrival rate, commands/sec
 	Duration time.Duration // schedule horizon
 	Seed     int64
-	Alpha    float64 // Pareto shape for per-guest rates (default 1.1)
-	MaxSkew  float64 // max/min per-guest rate ratio bound (default 1000)
 	Slots    []Slot
-	SLO      map[workload.Op]time.Duration // nil = DefaultSLO
 	// MaxEvents bounds the schedule (default 2e6): an over-ambitious
 	// offered×duration product truncates the horizon instead of
 	// building an unbounded schedule.
@@ -40,9 +38,16 @@ type Config struct {
 	Metrics *Metrics
 }
 
+// defaults validates the config and fills in MaxEvents, truncating the
+// horizon to it. A NaN Offered is refused because its gaps never carry a
+// schedule past the horizon, an infinite one because it truncates the
+// horizon to nothing.
 func (c *Config) defaults() error {
-	if c.Guests <= 0 || c.Offered <= 0 || c.Duration <= 0 {
-		return errors.New("loadgen: Guests, Offered and Duration must be positive")
+	if c.Guests <= 0 || c.Duration <= 0 {
+		return errors.New("loadgen: Guests and Duration must be positive")
+	}
+	if !(c.Offered > 0) || math.IsInf(c.Offered, 1) {
+		return errors.New("loadgen: Offered must be a finite positive rate")
 	}
 	if len(c.Slots) == 0 {
 		return errors.New("loadgen: need at least one slot")
@@ -56,6 +61,18 @@ func (c *Config) defaults() error {
 	return nil
 }
 
+// schedules builds each slot's merged arrival stream: the fleet's rate
+// table, guests dealt round-robin across slots, one seeded stream per slot.
+func (c *Config) schedules() []*schedule {
+	rates := rateTable(c.Guests, c.Seed, c.Offered)
+	parts := partition(c.Guests, len(c.Slots))
+	out := make([]*schedule, len(c.Slots))
+	for i, slot := range c.Slots {
+		out[i] = newSchedule(parts[i], rates, slot.Mix, c.Seed+int64(i)*1009, c.Duration)
+	}
+	return out
+}
+
 // Run offers load to the slots on the wall clock. Each slot worker walks
 // its schedule: it waits until an arrival's intended send time, issues the
 // op, and records completion − *intended* send time — if the worker (or the
@@ -65,18 +82,10 @@ func Run(cfg Config) (*Report, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	rates := rateTable(cfg.Guests, cfg.Seed, cfg.Alpha, cfg.MaxSkew, cfg.Offered)
-	parts := partition(cfg.Guests, len(cfg.Slots))
-	slo := cfg.SLO
-	if slo == nil {
-		slo = DefaultSLO
-	}
-
+	scheds := cfg.schedules()
 	cols := make([]*collector, len(cfg.Slots))
-	scheds := make([]*schedule, len(cfg.Slots))
-	for i, slot := range cfg.Slots {
+	for i := range cols {
 		cols[i] = newCollector()
-		scheds[i] = newSchedule(parts[i], rates, slot.Mix, cfg.Seed+int64(i)*1009, cfg.Duration)
 	}
 
 	start := time.Now()
@@ -102,7 +111,7 @@ func Run(cfg Config) (*Report, error) {
 				lat := time.Since(intended) // includes lateness: CO-safe
 				col.record(ev.op, lat, late, err)
 				if m := cfg.Metrics; m != nil {
-					m.observe(lat, late, err, lat <= sloFor(slo, ev.op))
+					m.observe(lat, late, err, lat <= DefaultSLO[ev.op])
 				}
 			}
 		}(cfg.Slots[i], scheds[i], cols[i])
@@ -116,16 +125,9 @@ func Run(cfg Config) (*Report, error) {
 		merged.merge(col)
 		scheduled += scheds[i].emitted
 	}
-	rep := merged.report(cfg.Guests, len(cfg.Slots), cfg.Offered, cfg.Duration, elapsed, scheduled, slo)
+	rep := merged.report(cfg.Guests, len(cfg.Slots), cfg.Offered, cfg.Duration, elapsed, scheduled)
 	if cfg.Metrics != nil {
 		cfg.Metrics.observeReport(rep)
 	}
 	return rep, nil
-}
-
-func sloFor(slo map[workload.Op]time.Duration, op workload.Op) time.Duration {
-	if d := slo[op]; d != 0 {
-		return d
-	}
-	return DefaultSLO[op]
 }

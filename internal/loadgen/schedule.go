@@ -7,7 +7,7 @@ import (
 )
 
 // event is one scheduled arrival: at is the intended send time relative to
-// run start (virtual time, ns).
+// run start, in ns.
 type event struct {
 	at    int64
 	guest int32
@@ -68,8 +68,6 @@ type schedule struct {
 	pick    *opPicker
 	horizon int64
 	emitted int64
-	trace   []event // when set, replaces synthetic arrivals entirely
-	traceAt int
 }
 
 // newSchedule builds the merged arrival stream for guests[ids] with the
@@ -107,12 +105,6 @@ func newSchedule(ids []int32, rates []float64, mix workload.Mix, seed int64, hor
 	return s
 }
 
-// newTraceSchedule replays an explicit arrival trace instead of drawing
-// synthetic Poisson streams (scenario files can embed one).
-func newTraceSchedule(trace []event, horizon time.Duration) *schedule {
-	return &schedule{trace: trace, horizon: int64(horizon)}
-}
-
 func (s *schedule) less(a, b int32) bool { return s.guests[a].next < s.guests[b].next }
 
 func (s *schedule) siftDown(i int) {
@@ -137,38 +129,27 @@ func (s *schedule) siftDown(i int) {
 // next pops the earliest arrival and schedules that guest's following one.
 // ok is false once every remaining arrival lies beyond the horizon.
 func (s *schedule) next() (event, bool) {
-	if s.trace != nil {
-		for s.traceAt < len(s.trace) {
-			ev := s.trace[s.traceAt]
-			s.traceAt++
-			if ev.at > s.horizon {
-				return event{}, false
-			}
-			s.emitted++
-			return ev, true
-		}
+	if len(s.heap) == 0 {
 		return event{}, false
 	}
-	for len(s.heap) > 0 {
-		gi := s.heap[0]
-		g := &s.guests[gi]
-		if g.next > s.horizon {
-			// Heap min is past the horizon — everything else is too.
-			return event{}, false
-		}
-		ev := event{at: g.next, guest: g.id, op: s.pick.pick(&g.rng)}
-		g.next += g.rng.expDur(g.meanNs)
-		if g.next > s.horizon {
-			// Retire the guest: swap-remove from the heap.
-			last := len(s.heap) - 1
-			s.heap[0] = s.heap[last]
-			s.heap = s.heap[:last]
-		}
-		s.siftDown(0)
-		s.emitted++
-		return ev, true
+	g := &s.guests[s.heap[0]]
+	if g.next > s.horizon {
+		// Heap min is past the horizon — everything else is too.
+		return event{}, false
 	}
-	return event{}, false
+	ev := event{at: g.next, guest: g.id, op: s.pick.pick(&g.rng)}
+	// Compared before adding, so a saturated gap cannot wrap around.
+	if gap := g.rng.expDur(g.meanNs); gap <= s.horizon-g.next {
+		g.next += gap
+	} else {
+		// Retire the guest: swap-remove from the heap.
+		last := len(s.heap) - 1
+		s.heap[0] = s.heap[last]
+		s.heap = s.heap[:last]
+	}
+	s.siftDown(0)
+	s.emitted++
+	return ev, true
 }
 
 // partition deals guest ids across nSlots round-robin; with a seeded

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/big"
 	"testing"
+	"time"
 )
 
 // testEK returns the endorsement key of a seeded test engine.
@@ -16,6 +17,44 @@ func testEK(t testing.TB, seed string) *rsa.PrivateKey {
 		t.Fatal(err)
 	}
 	return eng.ek
+}
+
+// TestSeededKeysRepeat: a seeded engine's keys — its EK and the keys it
+// generates later — and a seeded key pool's sequence come out the same on
+// every run, although crypto/rsa reads a random extra byte per prime
+// candidate.
+func TestSeededKeysRepeat(t *testing.T) {
+	same := func(what string, a, b *rsa.PrivateKey) {
+		t.Helper()
+		if a.N.Cmp(b.N) != 0 || a.D.Cmp(b.D) != 0 {
+			t.Fatalf("%s differs between two engines seeded alike", what)
+		}
+	}
+	same("EK", testEK(t, "repeat"), testEK(t, "repeat"))
+	generated := func() *rsa.PrivateKey {
+		eng, err := New(Config{RSABits: testBits, Seed: []byte("repeat")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := generateRSA(eng, testBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	same("generated key", generated(), generated())
+	pooled := func() *rsa.PrivateKey {
+		pool := NewKeyPool(KeyPoolConfig{Bits: testBits, Size: 1, Seed: []byte("repeat")})
+		defer pool.Close()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if k, ok := pool.Get(testBits); ok {
+				return k
+			}
+		}
+		t.Fatal("key pool produced nothing")
+		return nil
+	}
+	same("first pooled key", pooled(), pooled())
 }
 
 // corruptKeyBlob is one malformed marshalPrivateKey blob.

@@ -79,7 +79,7 @@ func NewKeyPool(cfg KeyPoolConfig) *KeyPool {
 	}
 	var rng io.Reader = rand.Reader
 	if cfg.Seed != nil {
-		rng = newDRBG(append(append([]byte(nil), cfg.Seed...), []byte("|keypool")...))
+		rng = keygenReader{newDRBG(append(append([]byte(nil), cfg.Seed...), []byte("|keypool")...))}
 	}
 	p.wg.Add(cfg.Fillers)
 	for i := 0; i < cfg.Fillers; i++ {

@@ -149,10 +149,10 @@ func New(cfg Config) (*TPM, error) {
 			return nil, fmt.Errorf("tpm: seeding: %w", err)
 		}
 	}
-	// Key generation draws from a forked DRBG: crypto/rsa.GenerateKey
-	// consumes a nondeterministic number of bytes from its source (the
-	// standard library's MaybeReadByte defense), which would otherwise
-	// desynchronize the deterministic nonce stream of seeded instances.
+	// Key generation draws from a forked DRBG, so however many bytes
+	// crypto/rsa.GenerateKey consumes, the nonce stream of a seeded
+	// instance stays where it was; keygenReader keeps the keys themselves
+	// reproducible.
 	t := &TPM{
 		rng:           newDRBG(seed),
 		keyRng:        newDRBG(append(append([]byte(nil), seed...), []byte("|keygen")...)),
@@ -175,7 +175,7 @@ func New(cfg Config) (*TPM, error) {
 			t.ek = k
 			break
 		}
-		ek, err := rsa.GenerateKey(t.keyRng, bits)
+		ek, err := rsa.GenerateKey(keygenReader{t.keyRng}, bits)
 		if err != nil {
 			return nil, fmt.Errorf("tpm: generating EK: %w", err)
 		}
@@ -263,7 +263,7 @@ func generateRSA(t *TPM, bits int) (*rsa.PrivateKey, error) {
 	if k, ok := t.keyPool.Get(bits); ok {
 		return k, nil
 	}
-	return rsa.GenerateKey(t.keyRng, bits)
+	return rsa.GenerateKey(keygenReader{t.keyRng}, bits)
 }
 
 // forkSignRng derives an independent DRBG stream for one signing-pool job.

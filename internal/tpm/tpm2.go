@@ -102,7 +102,7 @@ func New2(cfg Config) (*TPM2, error) {
 			t.ek = k
 			break
 		}
-		ek, err := rsa.GenerateKey(t.keyRng, bits)
+		ek, err := rsa.GenerateKey(keygenReader{t.keyRng}, bits)
 		if err != nil {
 			return nil, fmt.Errorf("tpm2: generating EK: %w", err)
 		}

@@ -133,10 +133,6 @@ type HostConfig struct {
 	// nil: StoreFlat (default, one in-memory blob per name) or StoreLog
 	// (segmented append-only log with cross-instance group commit).
 	StoreBackend StoreBackend
-	// LogStore tunes the StoreLog backend; the zero value takes the
-	// logstore defaults. The NotFound sentinel is always forced to
-	// vtpm.ErrNoState so the manager's missing-blob handling works.
-	LogStore logstore.Config
 	// Retry bounds the manager's store-I/O retry loop; zero fields mean the
 	// vtpm package defaults. See vtpm.RetryPolicy.
 	Retry vtpm.RetryPolicy
@@ -298,9 +294,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		case StoreFlat:
 			store = vtpm.NewMemStore()
 		case StoreLog:
-			lcfg := cfg.LogStore
-			lcfg.NotFound = vtpm.ErrNoState
-			store = logstore.New(lcfg)
+			store = logstore.New(logstore.Config{NotFound: vtpm.ErrNoState})
 		default:
 			return nil, fmt.Errorf("xvtpm: unknown store backend %d", cfg.StoreBackend)
 		}
