@@ -4,7 +4,7 @@ GO ?= go
 # globally. Offline environments fall back to go vet with a warning.
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1
 
-.PHONY: all build vet test race bench bench-smoke bench-gate chaos lint cover stackbench-check ci clean
+.PHONY: all build vet test race race-checkpoint bench bench-smoke bench-gate chaos lint cover stackbench-check ci clean
 
 all: build
 
@@ -21,6 +21,13 @@ test:
 # stress test (concurrency_test.go).
 race:
 	$(GO) test -race ./...
+
+# The improved guard's per-instance state-key cache under the race detector,
+# ten runs over: seals and opens racing DropInstance, cached keys against
+# fresh derivations, the key's lifetime, the late-federation-join refusals,
+# and FuzzStateOpen's seed corpus (cached and one-shot opens must agree).
+race-checkpoint:
+	$(GO) test -race -count=10 -run 'TestStateKey|TestFederationJoin|FuzzStateOpen' ./internal/core .
 
 # Quick pass over the concurrency benchmarks (full numbers come from
 # `go run ./cmd/benchrunner`).
@@ -80,7 +87,7 @@ chaos:
 stackbench-check:
 	cd stackbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet lint build test race bench-smoke chaos stackbench-check
+ci: vet lint build test race race-checkpoint bench-smoke chaos stackbench-check
 
 clean:
 	$(GO) clean ./...

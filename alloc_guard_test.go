@@ -132,6 +132,24 @@ func TestGuestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shipped defaults — eager checkpoints over the flat store, improved
+	// guard — on a host of their own: every Extend pays one synchronous
+	// checkpoint (serialize, seal, store write, mirror rewrite) before its
+	// response, and of that only the per-envelope AES block and HMAC may
+	// allocate. The budget sits at the measured floor.
+	eager, err := xvtpm.NewHost(xvtpm.HostConfig{Name: "alloc-eager", Mode: xvtpm.ModeImproved, RSABits: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := eager.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	ge, err := eager.CreateGuest(xvtpm.GuestConfig{Name: "age", Kernel: []byte("agek"), Profile: tpm.Profile12})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var meas [20]byte
 	cases := []struct {
 		name   string
@@ -140,6 +158,7 @@ func TestGuestAllocBudget(t *testing.T) {
 	}{
 		{"GuestGetRandom", func() error { _, err := g.TPM.GetRandom(16); return err }, 8},
 		{"GuestExtend", func() error { _, err := g.TPM.Extend(7, meas); return err }, 9},
+		{"GuestExtendEager", func() error { _, err := ge.TPM.Extend(7, meas); return err }, 16},
 	}
 	for _, tc := range cases {
 		tc := tc

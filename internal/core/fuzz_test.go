@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"xvtpm/internal/tpm"
@@ -41,11 +42,22 @@ func FuzzChannelOpen(f *testing.F) {
 }
 
 // FuzzStateOpen covers the state-envelope parser (at-rest blobs and
-// migration payloads are attacker-reachable).
+// migration payloads are attacker-reachable). Each input is opened twice:
+// through the improved guard's cached per-instance key and through the
+// one-shot stateOpen under a fresh derivation of the same key. The two must
+// agree on accepting or refusing it and on the plaintext, and only an
+// untampered seed envelope may be accepted. The platform master is fixed,
+// so a failing input replays.
 func FuzzStateOpen(f *testing.F) {
-	key := deriveBytes([]byte("fuzz"), "state")
+	keys := &PlatformKeys{master: deriveBytes([]byte("fuzz"), "master")}
+	g := NewImprovedGuard(keys, NewPolicy())
+	inst := vtpm.InstanceInfo{ID: 7}
+	g.stateFor(inst.ID) // an admitted instance: RecoverState uses its cache
+	key := keys.InstanceKey(inst.ID)
 	valid, _ := stateSeal(key, []byte("state-bytes"))
+	cached, _ := g.ProtectState(inst, nil, []byte("state-bytes"))
 	f.Add(valid)
+	f.Add(cached)
 	f.Add([]byte{})
 	f.Add(make([]byte, stateOverhead))
 	f.Add(valid[:len(valid)-1])
@@ -53,6 +65,10 @@ func FuzzStateOpen(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), make([]byte, 32)...))
 	f.Fuzz(func(t *testing.T, env []byte) {
 		pt, err := stateOpen(key, env)
+		viaCache, cacheErr := g.RecoverState(inst, env)
+		if (err == nil) != (cacheErr == nil) || !bytes.Equal(pt, viaCache) {
+			t.Fatalf("cached and one-shot opens disagree on %x: %q (%v) vs %q (%v)", env, viaCache, cacheErr, pt, err)
+		}
 		if err != nil {
 			return
 		}

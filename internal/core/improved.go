@@ -29,13 +29,22 @@ type guardShard struct {
 }
 
 // instanceState is everything the guard keeps per instance: the server side
-// of the authenticated channel and the flood-control bucket. mu guards the
-// pointers and the bucket's configuration tag; the channel and bucket have
-// their own internal locks, so holding one instance's state never blocks
-// another instance's admission.
+// of the authenticated channel, the flood-control bucket and the expanded
+// state-envelope key. mu guards the pointers, the bucket's configuration tag
+// and the key's derivation; the channel and bucket have their own internal
+// locks, so holding one instance's state never blocks another instance's
+// admission.
 type instanceState struct {
 	mu sync.Mutex
 	ch *serverChannel
+
+	// stateKey is the instance's expanded state-envelope key, derived on
+	// the first ProtectState or RecoverState (keyed) and kept across channel
+	// resets. DropInstance zeroes it and sets dropped, after which the state
+	// object caches nothing more.
+	stateKey stateKeys
+	keyed    bool
+	dropped  bool
 
 	bucket *tokenBucket
 	// bucketEpoch/bucketRate tag the configuration the bucket was built
@@ -160,19 +169,26 @@ func (g *ImprovedGuard) shard(id vtpm.InstanceID) *guardShard {
 	return &g.shards[uint32(id)&(guardShardCount-1)]
 }
 
+// lookupState returns an instance's guard state, or nil if the guard holds
+// none.
+func (g *ImprovedGuard) lookupState(id vtpm.InstanceID) *instanceState {
+	s := g.shard(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.m[id]
+}
+
 // stateFor returns (creating if needed) an instance's guard state. The fast
 // path is one shard read-lock and a map hit.
 func (g *ImprovedGuard) stateFor(id vtpm.InstanceID) *instanceState {
-	s := g.shard(id)
-	s.mu.RLock()
-	st := s.m[id]
-	s.mu.RUnlock()
-	if st != nil {
+	if st := g.lookupState(id); st != nil {
 		return st
 	}
+	s := g.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st = s.m[id]; st == nil {
+	st := s.m[id]
+	if st == nil {
 		st = &instanceState{}
 		s.m[id] = st
 	}
@@ -197,10 +213,7 @@ func (g *ImprovedGuard) channelFor(inst vtpm.InstanceInfo) *serverChannel {
 // migration, when a fresh codec with a fresh sequence space is issued). The
 // instance's flood-control bucket survives a channel reset.
 func (g *ImprovedGuard) ResetChannel(id vtpm.InstanceID) {
-	s := g.shard(id)
-	s.mu.RLock()
-	st := s.m[id]
-	s.mu.RUnlock()
+	st := g.lookupState(id)
 	if st == nil {
 		return
 	}
@@ -210,8 +223,9 @@ func (g *ImprovedGuard) ResetChannel(id vtpm.InstanceID) {
 }
 
 // DropInstance forgets everything the guard keeps for an instance that has
-// left the host: the policy rules naming it, its server channel and
-// flood-control bucket, and any rate override set for it.
+// left the host: the policy rules naming it, its server channel,
+// flood-control bucket and state key (zeroed), and any rate override set
+// for it.
 func (g *ImprovedGuard) DropInstance(id vtpm.InstanceID) {
 	g.policy.DropInstance(id)
 	g.rateMu.Lock()
@@ -219,12 +233,19 @@ func (g *ImprovedGuard) DropInstance(id vtpm.InstanceID) {
 	g.rateMu.Unlock()
 	s := g.shard(id)
 	s.mu.Lock()
+	st := s.m[id]
 	delete(s.m, id)
 	s.mu.Unlock()
+	if st != nil {
+		st.mu.Lock()
+		clear(st.stateKey[:])
+		st.keyed, st.dropped = false, true
+		st.mu.Unlock()
+	}
 }
 
-// InstanceStates reports how many instances the guard holds channel and
-// flood-control state for.
+// InstanceStates reports how many instances the guard holds channel,
+// flood-control and state-key state for.
 func (g *ImprovedGuard) InstanceStates() int {
 	n := 0
 	for i := range g.shards {
@@ -284,12 +305,44 @@ func (g *ImprovedGuard) EncoderFor(inst vtpm.InstanceInfo) (vtpm.GuestCodec, err
 // ProtectState implements vtpm.Guard: envelope the state under the
 // instance's derived key.
 func (g *ImprovedGuard) ProtectState(inst vtpm.InstanceInfo, dst, state []byte) ([]byte, error) {
-	return stateSealAppend(dst, g.keys.InstanceKey(inst.ID), state)
+	c, err := g.stateCipherFor(inst.ID)
+	if err != nil {
+		return nil, err
+	}
+	return c.sealAppend(dst, state)
 }
 
 // RecoverState implements vtpm.Guard.
 func (g *ImprovedGuard) RecoverState(inst vtpm.InstanceInfo, blob []byte) ([]byte, error) {
-	return stateOpen(g.keys.InstanceKey(inst.ID), blob)
+	c, err := g.stateCipherFor(inst.ID)
+	if err != nil {
+		return nil, err
+	}
+	return c.open(blob)
+}
+
+// stateCipherFor sets up an instance's state key for one envelope. An
+// instance the guard holds state for — every instance that has had a
+// command admitted — keeps its expanded key there, derived on first use.
+// For any other instance the key is derived for this call alone: sealing or
+// opening state never creates guard state, so a failed create or an adopted
+// foreign checkpoint leaves nothing behind, and neither does a call racing
+// DropInstance.
+func (g *ImprovedGuard) stateCipherFor(id vtpm.InstanceID) (stateCipher, error) {
+	st := g.lookupState(id)
+	if st == nil {
+		return g.keys.instanceStateCipher(id)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dropped {
+		return g.keys.instanceStateCipher(id)
+	}
+	if !st.keyed {
+		g.keys.instanceStateKeys(id, &st.stateKey)
+		st.keyed = true
+	}
+	return newStateCipher(&st.stateKey)
 }
 
 // Migration envelope wire form: encKek(B32) ∥ stateEnvelope(B32), where

@@ -7,6 +7,7 @@ import (
 	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -45,13 +46,24 @@ type PlatformKeys struct {
 	bindHandle uint32
 	closeOnce  sync.Once
 
-	// fedMaster, when set, replaces the host-local master for *state-envelope*
-	// key derivation: a cluster-wide secret delivered wrapped to this host's
-	// migration bind key and unwrapped inside the hardware TPM (JoinFederation).
-	// With it, any member host can open any member's committed checkpoints —
-	// the failure-driven evacuation path — while channel keys stay host-local.
-	fedMaster []byte
+	// stateMu guards the root of state-envelope key derivation: fedMaster
+	// and stateKeyed. fedMaster, when set, replaces the host-local master for
+	// *state-envelope* key derivation: a cluster-wide secret delivered
+	// wrapped to this host's migration bind key and unwrapped inside the
+	// hardware TPM (JoinFederation). With it, any member host can open any
+	// member's committed checkpoints — the failure-driven evacuation path —
+	// while channel keys stay host-local. stateKeyed latches once any state
+	// key has been derived from the root; a join after that is refused.
+	stateMu    sync.Mutex
+	fedMaster  []byte
+	stateKeyed bool
 }
+
+// ErrLateFederationJoin refuses a federation join on a host that has
+// already derived instance state keys: switching the derivation root then
+// would leave every envelope sealed under the old root unopenable, and every
+// key the improved guard caches stale.
+var ErrLateFederationJoin = errors.New("core: federation join after instance state keys were derived")
 
 // SECURITY note: the unsealed master lives in the manager's Go heap, which
 // this simulation's dump attacker cannot see (the dump model covers domain
@@ -189,9 +201,9 @@ func deriveBytes(secret []byte, label string, extra ...[]byte) []byte {
 // (tpm.BindEncrypt against MigrationPub); it is unwrapped by TPM_UnBind
 // inside the hardware TPM, so only a host whose platform booted clean — the
 // bind key's private half lives only inside the hardware TPM — can join.
-// Must be called before the host protects any instance state: envelopes
-// sealed under the host-local master beforehand become unopenable once the
-// derivation switches to the federation master.
+// It must precede every state-key derivation: once the host has derived
+// one (to protect or recover any instance state), the join fails with
+// ErrLateFederationJoin and the host-local root stays in force.
 func (pk *PlatformKeys) JoinFederation(wrapped []byte) error {
 	secret, err := pk.UnbindMigrationKek(wrapped)
 	if err != nil {
@@ -200,24 +212,45 @@ func (pk *PlatformKeys) JoinFederation(wrapped []byte) error {
 	if len(secret) < 16 {
 		return fmt.Errorf("core: federation master too short (%d bytes)", len(secret))
 	}
+	pk.stateMu.Lock()
+	defer pk.stateMu.Unlock()
+	if pk.stateKeyed {
+		clear(secret)
+		return ErrLateFederationJoin
+	}
 	pk.fedMaster = secret
 	return nil
 }
 
-// stateSecret is the root of state-envelope key derivation: the federation
-// master once joined, the host-local master otherwise.
-func (pk *PlatformKeys) stateSecret() []byte {
-	if pk.fedMaster != nil {
-		return pk.fedMaster
-	}
-	return pk.master
-}
-
-// InstanceKey derives the state-envelope key for one instance.
+// InstanceKey derives the state-envelope key for one instance from the
+// state root — the federation master once joined, the host-local master
+// otherwise — and latches the root against a later join.
 func (pk *PlatformKeys) InstanceKey(id vtpm.InstanceID) []byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], uint32(id))
-	return deriveBytes(pk.stateSecret(), "instance-state", b[:])
+	pk.stateMu.Lock()
+	defer pk.stateMu.Unlock()
+	pk.stateKeyed = true
+	root := pk.master
+	if pk.fedMaster != nil {
+		root = pk.fedMaster
+	}
+	return deriveBytes(root, "instance-state", b[:])
+}
+
+// instanceStateKeys derives one instance's expanded state key into k.
+func (pk *PlatformKeys) instanceStateKeys(id vtpm.InstanceID, k *stateKeys) {
+	key := pk.InstanceKey(id)
+	expandStateKeys(key, k)
+	clear(key)
+}
+
+// instanceStateCipher derives one instance's state key and sets it up for
+// one envelope, keeping no copy of it.
+func (pk *PlatformKeys) instanceStateCipher(id vtpm.InstanceID) (stateCipher, error) {
+	key := pk.InstanceKey(id)
+	defer clear(key)
+	return stateCipherOf(key)
 }
 
 // ChannelKeyFor derives the command-channel key for one (instance,

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/big"
+	"slices"
 )
 
 // ErrShortBuffer is returned when a command body ends before a field.
@@ -56,6 +58,18 @@ func (w *Writer) Raw(b []byte) *Writer { w.buf = append(w.buf, b...); return w }
 
 // B32 appends a length-prefixed (uint32) byte string.
 func (w *Writer) B32(b []byte) *Writer { return w.U32(uint32(len(b))).Raw(b) }
+
+// bigB32 appends x's minimal big-endian bytes as a length-prefixed (uint32)
+// byte string — the encoding of B32(x.Bytes()) — filled in place, without
+// the intermediate copy x.Bytes would allocate. x must be non-negative.
+func (w *Writer) bigB32(x *big.Int) *Writer {
+	n := (x.BitLen() + 7) / 8
+	w.U32(uint32(n))
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	x.FillBytes(w.buf[at:])
+	return w
+}
 
 // B16 appends a length-prefixed (uint16) byte string.
 func (w *Writer) B16(b []byte) *Writer { return w.U16(uint16(len(b))).Raw(b) }

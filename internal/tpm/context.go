@@ -53,7 +53,7 @@ func cmdSaveContext(ctx *cmdContext) (*Writer, uint32) {
 	id := t.contextCounter
 	interior := NewWriter()
 	interior.U64(id)
-	interior.B32(marshalPrivateKey(key.priv))
+	privateKeyB32(interior, key.priv)
 	interior.U16(key.usage)
 	interior.U16(key.scheme)
 	interior.Raw(key.usageAuth[:])

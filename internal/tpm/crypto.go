@@ -8,6 +8,7 @@ import (
 	"crypto/rsa"
 	"crypto/sha1"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -172,12 +173,30 @@ func unwrapPrivate(parent *rsa.PrivateKey, wrapped []byte) ([]byte, error) {
 // marshalPrivateKey serializes RSA private material (n, e, d, p, q).
 func marshalPrivateKey(k *rsa.PrivateKey) []byte {
 	w := NewWriter()
-	w.B32(k.N.Bytes())
-	w.U32(uint32(k.E))
-	w.B32(k.D.Bytes())
-	w.B32(k.Primes[0].Bytes())
-	w.B32(k.Primes[1].Bytes())
+	writePrivateKey(w, k)
 	return w.Bytes()
+}
+
+// writePrivateKey appends marshalPrivateKey's encoding of k to w, filling
+// each integer straight into w's buffer, so the only copy of the key
+// material it makes is the one in that buffer.
+func writePrivateKey(w *Writer, k *rsa.PrivateKey) {
+	w.bigB32(k.N)
+	w.U32(uint32(k.E))
+	w.bigB32(k.D)
+	w.bigB32(k.Primes[0])
+	w.bigB32(k.Primes[1])
+}
+
+// privateKeyB32 appends k's marshalPrivateKey encoding as a B32 field: the
+// length prefix is reserved, the key written in place and the prefix
+// back-patched. State serialization uses it so a checkpoint never builds a
+// throwaway copy of the key.
+func privateKeyB32(w *Writer, k *rsa.PrivateKey) {
+	at := w.Len()
+	w.U32(0)
+	writePrivateKey(w, k)
+	binary.BigEndian.PutUint32(w.buf[at:], uint32(w.Len()-at-4))
 }
 
 // unmarshalPrivateKey reverses marshalPrivateKey and validates the key.

@@ -3,7 +3,7 @@ package tpm
 import (
 	cryptorand "crypto/rand"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Persistent-state serialization. The vTPM manager snapshots instances with
@@ -58,20 +58,19 @@ func (t *TPM) AppendState(dst []byte) []byte {
 	}
 	w.Raw(t.ownerAuth[:])
 	w.Raw(t.tpmProof[:])
-	w.B32(marshalPrivateKey(t.ek))
+	privateKeyB32(w, t.ek)
 	if t.srk != nil {
 		w.U8(1)
-		w.B32(marshalPrivateKey(t.srk.priv))
+		privateKeyB32(w, t.srk.priv)
 		w.Raw(t.srk.usageAuth[:])
 	} else {
 		w.U8(0)
 	}
-	// NV areas in index order for determinism.
-	indices := make([]uint32, 0, len(t.nv))
-	for idx := range t.nv {
-		indices = append(indices, idx)
-	}
-	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
+	// NV areas in index order for determinism. The handles are sorted in a
+	// stack buffer; only an instance with more than its capacity of areas
+	// or counters spills to the heap.
+	var handles [16]uint32
+	indices := sortedKeys(handles[:0], t.nv)
 	w.U32(uint32(len(indices)))
 	for _, idx := range indices {
 		a := t.nv[idx]
@@ -82,11 +81,7 @@ func (t *TPM) AppendState(dst []byte) []byte {
 		w.Raw(a.data)
 	}
 	// Monotonic counters in handle order.
-	cids := make([]uint32, 0, len(t.counters))
-	for id := range t.counters {
-		cids = append(cids, id)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
+	cids := sortedKeys(handles[:0], t.counters)
 	w.U32(uint32(len(cids)))
 	for _, id := range cids {
 		c := t.counters[id]
@@ -109,6 +104,15 @@ func (t *TPM) AppendState(dst []byte) []byte {
 	w.B32(t.rng.k[:])
 	w.B32(t.rng.v[:])
 	return w.Bytes()
+}
+
+// sortedKeys appends m's handles to dst in ascending order.
+func sortedKeys[V any](dst []uint32, m map[uint32]V) []uint32 {
+	for h := range m {
+		dst = append(dst, h)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // RestoreState revives a TPM from a SaveState blob.

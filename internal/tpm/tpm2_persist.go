@@ -47,7 +47,7 @@ func (t *TPM2) AppendState(dst []byte) []byte {
 		w.Raw(t.sha256Bank[i][:])
 	}
 	w.U32(t.pcrUpdateCounter)
-	w.B32(marshalPrivateKey(t.ek))
+	privateKeyB32(w, t.ek)
 	// Dictionary-attack state persists so a restart does not reset the
 	// defense, matching the 1.2 engine.
 	w.U32(t.authFailCount)

@@ -121,8 +121,10 @@ type CheckpointStats struct {
 	Coalesced uint64
 	// BytesWritten totals protected envelope bytes handed to the store.
 	BytesWritten uint64
-	// Lag summarizes oldest-dirty-mutation → persist-completion latency.
-	Lag metrics.Summary
+	// Lag summarizes oldest-dirty-mutation → persist-completion latency in
+	// a fixed-bucket histogram, so it costs the same after a billion
+	// checkpoints as after one.
+	Lag metrics.HistogramSummary
 
 	// Recovery counters (see health.go): store-I/O retries performed,
 	// Healthy→Degraded and →Quarantined transitions taken, panics
@@ -330,7 +332,7 @@ func (m *Manager) persistPending(inst *instance, force bool) error {
 	}
 	if err == nil {
 		err = m.retryStore(inst, "persisting state", func() error {
-			return m.store.Put(stateName(info.ID), blob)
+			return m.store.Put(inst.name, blob)
 		})
 	}
 	if err == nil {
@@ -352,7 +354,7 @@ func (m *Manager) persistPending(inst *instance, force bool) error {
 		if seq > ck.persistSeq {
 			ck.persistSeq = seq
 			m.ckptCoalesced.Add(covered)
-			m.ckptLag.Add(time.Since(firstDirty))
+			m.ckptLag.Record(time.Since(firstDirty))
 		}
 	}
 	ck.cond.Broadcast()

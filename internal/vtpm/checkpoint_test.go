@@ -3,6 +3,7 @@ package vtpm
 import (
 	"crypto/sha1"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -449,5 +450,61 @@ func TestDestroyUnderWritebackLeavesNoGhostBlob(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if _, err := store.Get(stateName(id)); !errors.Is(err, ErrNoState) {
 		t.Fatalf("state blob for destroyed instance: err=%v", err)
+	}
+}
+
+// TestCheckpointLagBounded: the dirty-to-durable lag instrument is a
+// fixed-bucket histogram, so a long-lived manager's lag statistics neither
+// grow with the number of checkpoints it has taken nor lose count of them.
+// 200k eager checkpoints must each be counted once, and reading the stats
+// (as /debug/vtpm, vtpmctl top and the repository benchmark do) must not
+// leave per-sample memory behind: a sample-keeping recorder retains 8 bytes
+// per checkpoint, ~1.6 MB here, plus a sorted copy per read.
+func TestCheckpointLagBounded(t *testing.T) {
+	const checkpoints = 200_000
+	hv, mgr := newCkptRig(t, NewMemStore(), &passGuard{}, ManagerConfig{
+		RSABits: testBits, Seed: []byte("lag"), Checkpoint: CheckpointEager,
+	})
+	defer mgr.Close()
+	dom, err := hv.CreateDomain(xen.DomainConfig{Name: "g", Kernel: []byte("k")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mgr.CreateInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.BindInstance(id, dom); err != nil {
+		t.Fatal(err)
+	}
+	cmd, _ := extendStepCmd(7, 1)
+	dispatch := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := mgr.Dispatch(dom.ID(), dom.Launch(), cmd); err != nil {
+				t.Fatalf("dispatch %d: %v", i, err)
+			}
+		}
+	}
+	// Warm every scratch buffer, then take the heap baseline.
+	dispatch(100)
+	mgr.CheckpointStats()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dispatch(checkpoints)
+	s := mgr.CheckpointStats()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if want := uint64(checkpoints + 100); s.Lag.Count != want || s.Checkpoints != want+1 {
+		t.Fatalf("Lag.Count = %d, Checkpoints = %d; want %d lag samples from %d checkpoints",
+			s.Lag.Count, s.Checkpoints, want, want+1)
+	}
+	if s.Lag.P50 <= 0 || s.Lag.P95 < s.Lag.P50 || s.Lag.P99 < s.Lag.P95 {
+		t.Fatalf("lag quantiles out of order: %+v", s.Lag)
+	}
+	const bound = 256 << 10
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > bound {
+		t.Fatalf("live heap grew %d bytes over %d checkpoints, bound %d", grown, checkpoints, bound)
 	}
 }

@@ -29,6 +29,10 @@ type instance struct {
 	info InstanceInfo
 	eng  tpm.Engine
 
+	// name is the instance's store key, stateName(info.ID), formatted once
+	// here rather than on every checkpoint. Immutable.
+	name string
+
 	// mirror is the manager's in-memory copy of the instance's protected
 	// state, allocated from dom0 arena memory so that it is visible to a
 	// dom0 core dump — the honesty requirement of the attack model. For the
@@ -93,6 +97,7 @@ func (m *Manager) newInstance(info InstanceInfo, eng tpm.Engine) *instance {
 	inst := &instance{
 		info:  info,
 		eng:   eng,
+		name:  stateName(info.ID),
 		lat:   metrics.NewHistogram(nil),
 		spans: m.tel.tracer.NewRing(),
 	}

@@ -121,7 +121,7 @@ type Manager struct {
 	ckptWrites    metrics.Counter
 	ckptCoalesced metrics.Counter
 	ckptBytes     metrics.Counter
-	ckptLag       *metrics.Recorder
+	ckptLag       *metrics.Histogram
 
 	// fenceRejects counts dispatches refused by instance fences (see
 	// fence.go) — each one a command provably not executed, redirected to
@@ -202,7 +202,7 @@ func NewManager(hv *xen.Hypervisor, store Store, arena *xen.Arena, guard Guard, 
 		maxDirty:         DefaultMaxDirtyCommands,
 		maxDirtyInterval: DefaultMaxDirtyInterval,
 		retry:            cfg.Retry.resolve(),
-		ckptLag:          metrics.NewRecorder(),
+		ckptLag:          metrics.NewHistogram(nil),
 		tel:              newTelemetry(cfg),
 	}
 	m.signPool = tpm.NewSignPool(tpm.SignPoolConfig{Observe: m.observeSign})

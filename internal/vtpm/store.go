@@ -51,11 +51,18 @@ func NewMemStore() *MemStore {
 	return &MemStore{blobs: make(map[string][]byte)}
 }
 
-// Put implements Store.
+// Put implements Store. Rewriting a name reuses its array when the new blob
+// fits: the store never hands its arrays out (Get copies), so an eager
+// checkpoint loop rewrites one blob in place instead of allocating a fresh
+// one per write.
 func (s *MemStore) Put(name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.blobs[name] = append([]byte(nil), data...)
+	old := s.blobs[name]
+	if cap(old) < len(data) {
+		old = nil
+	}
+	s.blobs[name] = append(old[:0], data...)
 	return nil
 }
 

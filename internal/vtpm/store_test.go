@@ -113,6 +113,32 @@ func TestStoreConformance(t *testing.T) {
 					t.Fatalf("replace duplicated the name: %v", names)
 				}
 			})
+			t.Run("RewriteLeavesEarlierCopiesIntact", func(t *testing.T) {
+				// The checkpoint loop rewrites one name over and over; a
+				// backend may reuse the name's storage for that, but never
+				// one a caller already holds.
+				s := be.mk()
+				v1 := bytes.Repeat([]byte{0x11}, 64)
+				if err := s.Put("blob", v1); err != nil {
+					t.Fatal(err)
+				}
+				held, err := s.Get("blob")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range [][]byte{bytes.Repeat([]byte{0x22}, 64), bytes.Repeat([]byte{0x33}, 16), bytes.Repeat([]byte{0x44}, 256)} {
+					if err := s.Put("blob", v); err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.Get("blob")
+					if err != nil || !bytes.Equal(got, v) {
+						t.Fatalf("after rewriting %d bytes, Get = %d bytes, err %v", len(v), len(got), err)
+					}
+				}
+				if !bytes.Equal(held, v1) {
+					t.Fatalf("a rewrite changed a blob Get had already returned: %x", held[:1])
+				}
+			})
 			t.Run("DeleteThenReput", func(t *testing.T) {
 				s := be.mk()
 				if err := s.Put("blob", []byte("v1")); err != nil {

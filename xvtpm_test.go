@@ -571,6 +571,69 @@ func TestGuestChurnDropsGuardState(t *testing.T) {
 	}
 }
 
+// TestFederationJoinAfterCreateGuestRefused: a host that has already sealed
+// a guest's vTPM state under its local root cannot switch to a federation
+// root — the guest's checkpoints would stop opening — so the late join
+// fails and the guest revives from its checkpoint as before. A join before
+// any guest exists, as a cluster performs at boot, still succeeds.
+func TestFederationJoinAfterCreateGuestRefused(t *testing.T) {
+	secret := bytes.Repeat([]byte{0xfe}, 16)
+	join := func(h *Host) error {
+		t.Helper()
+		wrapped, err := tpm.BindEncrypt(nil, h.MigrationIdentity(), secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.FederationJoin(wrapped)
+	}
+	if err := join(newTestHost(t, "fed-early", ModeImproved)); err != nil {
+		t.Fatalf("join on a fresh host: %v", err)
+	}
+
+	h := newTestHost(t, "fed-late", ModeImproved)
+	g := newTestGuest(t, h, "sealed")
+	if _, err := g.TPM.Extend(9, sha1.Sum([]byte("before the join"))); err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.TPM.PCRRead(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := join(h); !errors.Is(err, core.ErrLateFederationJoin) {
+		t.Fatalf("FederationJoin after CreateGuest: err = %v, want ErrLateFederationJoin", err)
+	}
+	// Restart the instance from its stored checkpoint, as
+	// TestManagerRestartRevivesInstances does.
+	g.Frontend.Close()
+	if err := h.Backend.DetachDevice(g.Dom.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Manager.UnbindInstance(g.Instance); err != nil {
+		t.Fatal(err)
+	}
+	name := vtpm.StateName(g.Instance)
+	blob, err := h.Store.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Manager.DestroyInstance(g.Instance); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Store.Put(name, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Manager.ReviveInstance(g.Instance); err != nil {
+		t.Fatalf("checkpoint sealed before the refused join no longer revives: %v", err)
+	}
+	cli, err := h.Manager.DirectClient(g.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cli.PCRRead(9); err != nil || got != want {
+		t.Fatalf("revived PCR 9 = %x, %v; want %x", got, err, want)
+	}
+}
+
 func TestHostRequiresNameAndKernel(t *testing.T) {
 	if _, err := NewHost(HostConfig{}); err == nil {
 		t.Fatal("unnamed host accepted")
