@@ -17,8 +17,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-enabled run of everything, including the root lifecycle-churn
-# stress test (concurrency_test.go).
+# Race-enabled run of everything, including the federation lifecycle-churn
+# stress test (internal/cluster/concurrency_test.go).
 race:
 	$(GO) test -race ./...
 

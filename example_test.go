@@ -51,43 +51,3 @@ func Example() {
 	// guard: improved
 	// unsealed: the secret
 }
-
-// ExampleMigrate moves a guest and its vTPM between two hosts; sealed data
-// created before the move unseals after it.
-func ExampleMigrate() {
-	src, err := xvtpm.NewHost(xvtpm.HostConfig{Name: "rack1", Mode: xvtpm.ModeImproved, RSABits: 512})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := xvtpm.NewHost(xvtpm.HostConfig{Name: "rack2", Mode: xvtpm.ModeImproved, RSABits: 512})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
-
-	guest, err := src.CreateGuest(xvtpm.GuestConfig{Name: "mover", Kernel: []byte("k")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	owner, srk, data := sha1.Sum([]byte("o")), sha1.Sum([]byte("s")), sha1.Sum([]byte("d"))
-	if _, err := guest.TPM.TakeOwnership(owner, srk); err != nil {
-		log.Fatal(err)
-	}
-	blob, err := guest.TPM.Seal(tpm.KHSRK, srk, data, nil, []byte("travels"))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	moved, err := xvtpm.Migrate(src, guest, dst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := moved.TPM.Unseal(tpm.KHSRK, srk, data, blob)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("after migration: %s\n", out)
-	// Output:
-	// after migration: travels
-}

@@ -1,20 +1,18 @@
-// Live migration: move a guest and its vTPM between two hosts. The guest
-// seals a secret on host A, migrates, and unseals it on host B — the vTPM
-// state travels intact. With the improved guard the state crosses the wire
-// encrypted to host B's hardware-TPM-resident bind key; the example also
-// shows what an eavesdropper on the migration channel sees in each mode.
+// Live migration: move a guest and its vTPM between the two members of a
+// federation. The guest seals a secret on h0, migrates through the fenced
+// two-phase handoff (Cluster.Migrate), and unseals it on h1 — the vTPM
+// state travels intact. With the improved guard the state crosses between
+// hosts encrypted to h1's hardware-TPM-resident bind key; examples/attack-demo
+// shows what an eavesdropper on that transfer sees in each mode.
 package main
 
 import (
-	"bytes"
 	"crypto/sha1"
 	"fmt"
-	"io"
 	"log"
-	"net"
-	"sync"
 
 	"xvtpm"
+	"xvtpm/internal/cluster"
 	"xvtpm/internal/tpm"
 )
 
@@ -24,42 +22,15 @@ func auth(s string) (a [tpm.AuthSize]byte) {
 	return a
 }
 
-// snoop records all bytes crossing a connection.
-type snoop struct {
-	io.ReadWriter
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (s *snoop) Read(p []byte) (int, error) {
-	n, err := s.ReadWriter.Read(p)
-	s.mu.Lock()
-	s.buf.Write(p[:n])
-	s.mu.Unlock()
-	return n, err
-}
-
-func (s *snoop) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	s.buf.Write(p)
-	s.mu.Unlock()
-	return s.ReadWriter.Write(p)
-}
-
 func run(mode xvtpm.Mode) {
 	fmt.Printf("=== migration under %s access control ===\n", mode)
-	srcHost, err := xvtpm.NewHost(xvtpm.HostConfig{Name: "rack1-" + mode.String(), Mode: mode, RSABits: 512})
+	c, err := cluster.New(cluster.Config{Hosts: 2, Mode: mode, RSABits: 512})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srcHost.Close()
-	dstHost, err := xvtpm.NewHost(xvtpm.HostConfig{Name: "rack2-" + mode.String(), Mode: mode, RSABits: 512})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dstHost.Close()
+	defer c.Close()
 
-	guest, err := srcHost.CreateGuest(xvtpm.GuestConfig{Name: "stateful-vm", Kernel: []byte("vmlinuz-app")})
+	guest, err := c.CreateGuestOn("h0", xvtpm.GuestConfig{Name: "stateful-vm", Kernel: []byte("vmlinuz-app")})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,28 +46,18 @@ func run(mode xvtpm.Mode) {
 		log.Fatal(err)
 	}
 	pcrBefore, _ := guest.TPM.PCRRead(9)
-	fmt.Printf("on %s: sealed a secret, PCR9 = %x…\n", srcHost.Name, pcrBefore[:8])
+	fmt.Printf("on h0: sealed a secret, PCR9 = %x…\n", pcrBefore[:8])
 
-	// Migrate over an eavesdropped channel.
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	tap := &snoop{ReadWriter: c1}
-	var migrated *xvtpm.Guest
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		migrated, err = dstHost.ReceiveGuest(c2)
-		done <- err
-	}()
-	if err := srcHost.SendGuest(tap, guest); err != nil {
-		log.Fatalf("send: %v", err)
+	if err := c.Migrate("stateful-vm", "h1"); err != nil {
+		log.Fatalf("migrate: %v", err)
 	}
-	if err := <-done; err != nil {
-		log.Fatalf("receive: %v", err)
+	host, migrated, err := c.Owner("stateful-vm")
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("migrated to %s: new dom%d, new instance %d\n",
-		dstHost.Name, migrated.Dom.ID(), migrated.Instance)
+	pl, _ := c.Directory().Lookup("stateful-vm")
+	fmt.Printf("migrated to %s at ownership epoch %d: new dom%d, new instance %d\n",
+		host, pl.Epoch, migrated.Dom.ID(), migrated.Instance)
 
 	// State integrity: PCRs and sealed data survived.
 	pcrAfter, err := migrated.TPM.PCRRead(9)
@@ -107,18 +68,7 @@ func run(mode xvtpm.Mode) {
 	if err != nil {
 		log.Fatalf("unseal after migration: %v", err)
 	}
-	fmt.Printf("secret unsealed on the destination: %q\n", secret)
-
-	// What did the eavesdropper get?
-	tap.mu.Lock()
-	captured := tap.buf.Bytes()
-	leaked := bytes.Contains(captured, []byte(tpm.StateMagic))
-	tap.mu.Unlock()
-	if leaked {
-		fmt.Printf("eavesdropper: CAPTURED plaintext vTPM state from the wire (%d bytes observed)\n\n", len(captured))
-	} else {
-		fmt.Printf("eavesdropper: saw only ciphertext (%d bytes observed)\n\n", len(captured))
-	}
+	fmt.Printf("secret unsealed on the destination: %q\n\n", secret)
 }
 
 func main() {

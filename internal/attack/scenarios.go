@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 
 	"xvtpm"
@@ -183,38 +181,14 @@ func StateTheft(h *xvtpm.Host, g *xvtpm.Guest, _ *xvtpm.Host) (Result, error) {
 	return r, nil
 }
 
-// tapConn records everything both directions of a connection carry and can
-// flip a byte mid-stream (active tampering).
-type tapConn struct {
-	inner io.ReadWriter
-	mu    sync.Mutex
-	log   bytes.Buffer
-}
-
-func (t *tapConn) Read(p []byte) (int, error) {
-	n, err := t.inner.Read(p)
-	t.mu.Lock()
-	t.log.Write(p[:n])
-	t.mu.Unlock()
-	return n, err
-}
-
-func (t *tapConn) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	t.log.Write(p)
-	t.mu.Unlock()
-	return t.inner.Write(p)
-}
-
-func (t *tapConn) captured() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]byte(nil), t.log.Bytes()...)
-}
-
-// MigIntercept migrates the guest to peer over a tapped channel and scans
-// the recorded stream for plaintext TPM state. Success criterion: the
-// eavesdropper recovered vTPM state (or the planted secret) from the wire.
+// MigIntercept migrates the guest to peer and scans the bytes that cross
+// between the hosts for plaintext TPM state. The source quiesces and
+// exports exactly as the cluster's fenced transfer leg does — the image
+// sealed to the peer's MigrationIdentity, then vtpm.EncodeInstanceImage —
+// and the eavesdropper reads that wire form in full before the peer decodes
+// and activates it. The fence and directory steps around the leg never
+// touch these bytes, so the capture is everything a tap on the link sees.
+// Success criterion: the eavesdropper recovered vTPM state from the wire.
 func MigIntercept(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, error) {
 	if peer == nil {
 		return Result{}, fmt.Errorf("attack: migration intercept needs a peer host")
@@ -222,27 +196,31 @@ func MigIntercept(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, erro
 	if err := provisionAndExercise(g); err != nil {
 		return Result{}, err
 	}
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	tap := &tapConn{inner: c1}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := peer.ReceiveGuest(c2)
-		errCh <- err
-	}()
-	if err := h.SendGuest(tap, g); err != nil {
+	domImg, err := h.BeginMigration(g)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := <-errCh; err != nil {
+	img, err := h.Manager.ExportInstance(g.Instance, peer.MigrationIdentity())
+	if err != nil {
 		return Result{}, err
 	}
-	found := ScanBytes(tap.captured(), []Probe{StateMagicProbe})
+	wire := vtpm.EncodeInstanceImage(img)
+	found := ScanBytes(wire, []Probe{StateMagicProbe})
+	rimg, err := vtpm.DecodeInstanceImage(wire)
+	if err != nil {
+		return Result{}, err
+	}
+	if _, err := peer.ReceiveImage(domImg, rimg); err != nil {
+		return Result{}, err
+	}
+	if err := h.FinishMigration(g); err != nil {
+		return Result{}, err
+	}
 	r := Result{
 		Kind:      KindMigIntercept,
 		Guard:     h.Guard().Name(),
 		Succeeded: len(found) > 0,
-		Detail:    fmt.Sprintf("wire capture hits: %v (%d bytes observed)", found, len(tap.captured())),
+		Detail:    fmt.Sprintf("wire capture hits: %v (%d bytes observed)", found, len(wire)),
 	}
 	return r, nil
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // testCluster boots a small deterministic improved-mode federation.
-func testCluster(t *testing.T, hosts int, tweak ...func(*Config)) *Cluster {
+func testCluster(t testing.TB, hosts int, tweak ...func(*Config)) *Cluster {
 	t.Helper()
 	cfg := Config{
 		Hosts:   hosts,

@@ -17,6 +17,11 @@ import (
 // applied per verdict at the injection site).
 var errTransferFault = errors.New("cluster: transfer leg failed")
 
+// ErrMigrationDiverged reports that the destination's imported vTPM did not
+// match the source's PCR bank — the source copy is preserved and the
+// destination copy destroyed.
+var ErrMigrationDiverged = errors.New("cluster: migrated vTPM diverged from source PCR bank")
+
 // Migrate moves one guest to dst through the fenced two-phase handoff:
 //
 //  1. Quiesce: the source instance is fenced (dispatch rejected with a
@@ -24,9 +29,10 @@ var errTransferFault = errors.New("cluster: transfer leg failed")
 //     current epoch.
 //  2. Open: the directory bumps the epoch and enters Moving; the fence and
 //     the instance are re-stamped with the move epoch.
-//  3. Transfer: the guest's domain image and guard-protected vTPM envelope
-//     travel (encoded, with bounded retry/backoff/deadline and the
-//     OpTransfer chaos hook per attempt).
+//  3. Transfer: the guard-protected vTPM image travels as
+//     vtpm.EncodeInstanceImage bytes (bounded retry/backoff/deadline and the
+//     OpTransfer chaos hook per attempt); the saved domain image is handed
+//     over in memory.
 //  4. Verify + activate: the destination imports, and its PCR bank must
 //     equal the quiesced source's before anything else happens.
 //  5. Commit: the directory flips ownership, the destination's checkpoint
@@ -140,7 +146,7 @@ func (c *Cluster) Migrate(key, dstName string) error {
 	}
 	dstPCRs, err := dst.Host.Manager.PCRDigest(g2.Instance)
 	if err == nil && dstPCRs != srcPCRs {
-		err = xvtpm.ErrMigrationDiverged
+		err = ErrMigrationDiverged
 	}
 	if err == nil {
 		dst.fs.bind(vtpm.StateName(g2.Instance), key)

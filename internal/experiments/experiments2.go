@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"xvtpm"
@@ -136,35 +135,19 @@ func E5PolicyCost(cfg Config) (map[string][]E5Point, error) {
 type E6Phases struct {
 	Mode      xvtpm.Mode
 	Suspend   time.Duration // detach + unbind + domain save
-	Transfer  time.Duration // export + wire + import (includes guard crypto)
-	Resume    time.Duration // domain restore + rebind + reconnect
+	Transfer  time.Duration // export + encode + decode + import (includes guard crypto)
+	Resume    time.Duration // domain restore + rebind
 	Total     time.Duration
-	WireBytes int
-}
-
-// countConn counts bytes crossing a connection.
-type countConn struct {
-	inner net.Conn
-	n     *int
-}
-
-func (c countConn) Read(p []byte) (int, error) {
-	n, err := c.inner.Read(p)
-	*c.n += n
-	return n, err
-}
-
-func (c countConn) Write(p []byte) (int, error) {
-	n, err := c.inner.Write(p)
-	*c.n += n
-	return n, err
+	WireBytes int // the encoded instance image
 }
 
 // E6Migration measures the vTPM migration time breakdown for both guards,
 // reporting the median over several migrations. Reconstructed Table 3. The
-// phases are timed on the source side; Transfer spans first wire byte to
-// acknowledgement, so it contains the destination's import work — the same
-// accounting a wall-clock measurement on the source host gives.
+// transfer phase is the fenced cluster handoff's transfer leg: the source
+// exports the instance sealed to the destination's MigrationIdentity, the
+// image crosses as vtpm.EncodeInstanceImage bytes (WireBytes), and the
+// destination decodes and imports it. The saved domain image is handed
+// over in memory, as the cluster does.
 func E6Migration(cfg Config) ([]E6Phases, error) {
 	samples := cfg.reps(7, 1)
 	var out []E6Phases
@@ -199,50 +182,35 @@ func E6Migration(cfg Config) ([]E6Phases, error) {
 			totalStart := time.Now()
 
 			start := time.Now()
-			g.Frontend.Close()
-			if err := src.Backend.DetachDevice(g.Dom.ID()); err != nil {
-				return nil, err
-			}
-			if err := src.Manager.UnbindInstance(g.Instance); err != nil {
-				return nil, err
-			}
-			domImg, err := src.HV.SaveDomain(xen.Dom0, g.Dom.ID())
+			domImg, err := src.BeginMigration(g)
 			if err != nil {
 				return nil, err
 			}
 			phases.Suspend = time.Since(start)
 
-			c1, c2 := net.Pipe()
-			wire := 0
-			type recvRes struct {
-				inst vtpm.InstanceID
-				img  *xen.DomainImage
-				err  error
-			}
-			done := make(chan recvRes, 1)
-			go func() {
-				img, inst, err := vtpm.ReceiveMigration(c2, dst.Manager, dst.Guard().MigrationIdentity())
-				done <- recvRes{inst, img, err}
-			}()
 			start = time.Now()
-			if err := vtpm.SendMigration(countConn{inner: c1, n: &wire}, src.Manager, domImg, g.Instance); err != nil {
-				return nil, fmt.Errorf("E6 send on %s: %w", mode, err)
+			img, err := src.Manager.ExportInstance(g.Instance, dst.MigrationIdentity())
+			if err != nil {
+				return nil, fmt.Errorf("E6 export on %s: %w", mode, err)
 			}
-			r := <-done
-			if r.err != nil {
-				return nil, fmt.Errorf("E6 receive on %s: %w", mode, r.err)
+			wire := vtpm.EncodeInstanceImage(img)
+			rimg, err := vtpm.DecodeInstanceImage(wire)
+			if err != nil {
+				return nil, fmt.Errorf("E6 decode on %s: %w", mode, err)
+			}
+			inst, err := dst.Manager.ImportInstance(rimg)
+			if err != nil {
+				return nil, fmt.Errorf("E6 import on %s: %w", mode, err)
 			}
 			phases.Transfer = time.Since(start)
-			phases.WireBytes = wire
-			c1.Close()
-			c2.Close()
+			phases.WireBytes = len(wire)
 
 			start = time.Now()
-			dom, err := dst.HV.RestoreDomain(xen.Dom0, r.img)
+			dom, err := dst.HV.RestoreDomain(xen.Dom0, domImg)
 			if err != nil {
 				return nil, err
 			}
-			if err := dst.Manager.BindInstance(r.inst, dom); err != nil {
+			if err := dst.Manager.BindInstance(inst, dom); err != nil {
 				return nil, err
 			}
 			phases.Resume = time.Since(start)

@@ -23,6 +23,10 @@ func TestE12AllPoliciesMeasuredAndLeakFree(t *testing.T) {
 		if r.Throughput <= 0 {
 			t.Fatalf("%s: non-positive throughput", r.Policy)
 		}
+		if r.ThroughputMin > r.Throughput || r.Throughput > r.ThroughputMax {
+			t.Fatalf("%s: median %.0f outside its range %.0f–%.0f",
+				r.Policy, r.Throughput, r.ThroughputMin, r.ThroughputMax)
+		}
 		if r.Checkpoints == 0 || r.Bytes == 0 {
 			// Every run ends with a forced CheckpointAll, so even deferred
 			// must have written protected state.

@@ -3,16 +3,15 @@ package vtpm
 import (
 	"crypto/sha1"
 	"errors"
-	"net"
-	"strings"
 	"testing"
 
+	"xvtpm/internal/tpm"
 	"xvtpm/internal/xen"
 )
 
 // migrationRig builds a source manager with one unbound, stateful instance
-// plus its suspended domain image.
-func migrationRig(t *testing.T) (*xen.Hypervisor, *Manager, *xen.DomainImage, InstanceID) {
+// ready to export.
+func migrationRig(t *testing.T) (*Manager, InstanceID) {
 	t.Helper()
 	hv, xs, mgr, _ := newTestRig(t, &passGuard{})
 	dom := mkGuestDom(t, hv, xs, "m")
@@ -31,40 +30,27 @@ func migrationRig(t *testing.T) (*xen.Hypervisor, *Manager, *xen.DomainImage, In
 	if err := mgr.UnbindInstance(id); err != nil {
 		t.Fatal(err)
 	}
-	img, err := hv.SaveDomain(xen.Dom0, dom.ID())
+	return mgr, id
+}
+
+// TestInstanceImageWireRoundTrip drives the transfer leg a cluster move
+// ships: export, encode, decode on the far side, import.
+func TestInstanceImageWireRoundTrip(t *testing.T) {
+	src, id := migrationRig(t)
+	_, _, dst, _ := newTestRig(t, &passGuard{})
+	img, err := src.ExportInstance(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hv, mgr, img, id
-}
-
-func TestSendReceiveMigrationWire(t *testing.T) {
-	_, src, domImg, id := migrationRig(t)
-	_, _, dst, _ := newTestRig(t, &passGuard{})
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	type res struct {
-		img  *xen.DomainImage
-		inst InstanceID
-		err  error
+	rimg, err := DecodeInstanceImage(EncodeInstanceImage(img))
+	if err != nil {
+		t.Fatalf("DecodeInstanceImage: %v", err)
 	}
-	done := make(chan res, 1)
-	go func() {
-		img, inst, err := ReceiveMigration(c2, dst, nil)
-		done <- res{img, inst, err}
-	}()
-	if err := SendMigration(c1, src, domImg, id); err != nil {
-		t.Fatalf("SendMigration: %v", err)
+	inst, err := dst.ImportInstance(rimg)
+	if err != nil {
+		t.Fatalf("ImportInstance: %v", err)
 	}
-	r := <-done
-	if r.err != nil {
-		t.Fatalf("ReceiveMigration: %v", r.err)
-	}
-	if r.img.Name != domImg.Name || len(r.img.Memory) != len(domImg.Memory) {
-		t.Fatal("domain image mangled on the wire")
-	}
-	cli, err := dst.DirectClient(r.inst)
+	cli, err := dst.DirectClient(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,66 +62,53 @@ func TestSendReceiveMigrationWire(t *testing.T) {
 	}
 }
 
-func TestReceiveMigrationBadMagic(t *testing.T) {
-	_, _, dst, _ := newTestRig(t, &passGuard{})
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := ReceiveMigration(c2, dst, nil)
-		errCh <- err
-	}()
-	if _, err := c1.Write([]byte("WRONG-MAGIC")); err != nil {
+// TestImportRejectsCorruptGuardOutput: a destination whose guard opens the
+// envelope into something that is not TPM state refuses the import with
+// ErrBadImage and keeps no instance registered.
+func TestImportRejectsCorruptGuardOutput(t *testing.T) {
+	src, id := migrationRig(t)
+	_, _, dst, _ := newTestRig(t, &corruptingGuard{})
+	img, err := src.ExportInstance(id, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; !errors.Is(err, ErrBadImage) {
+	if _, err := dst.ImportInstance(img); !errors.Is(err, ErrBadImage) {
 		t.Fatalf("err = %v, want ErrBadImage", err)
 	}
-}
-
-func TestSendMigrationRejectedByDestination(t *testing.T) {
-	// Destination import failure (corrupted state in transit) must surface
-	// as a NAK to the sender, not a hang.
-	_, src, domImg, id := migrationRig(t)
-	_, _, dst, _ := newTestRig(t, &corruptingGuard{})
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	recvErr := make(chan error, 1)
-	go func() {
-		_, _, err := ReceiveMigration(c2, dst, nil)
-		recvErr <- err
-	}()
-	err := SendMigration(c1, src, domImg, id)
-	if err == nil {
-		t.Fatal("sender did not see the rejection")
-	}
-	if !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("sender err = %v", err)
-	}
-	if err := <-recvErr; err == nil {
-		t.Fatal("receiver accepted a corrupt import")
+	if ids := dst.Instances(); len(ids) != 0 {
+		t.Fatalf("refused import left instances %v registered", ids)
 	}
 }
 
-// corruptingGuard breaks ImportState so the destination must NAK.
+// corruptingGuard breaks ImportState so the destination must refuse.
 type corruptingGuard struct{ passGuard }
 
 func (g *corruptingGuard) ImportState(blob []byte) ([]byte, error) {
 	return []byte("not a tpm state blob"), nil
 }
 
-func TestReadMsgEnforcesCap(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	go func() {
-		hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF} // 4 GiB length
-		c1.Write(hdr)
-	}()
-	if _, err := readMsg(c2, 1024); !errors.Is(err, ErrBadImage) {
-		t.Fatalf("err = %v, want ErrBadImage", err)
+// TestDecodeInstanceImageRejects: the image parser refuses anything but
+// exactly one well-formed image.
+func TestDecodeInstanceImageRejects(t *testing.T) {
+	good := EncodeInstanceImage(&InstanceImage{Profile: tpm.Profile12, Epoch: 3, StateEnvelope: []byte("envelope")})
+	if _, err := DecodeInstanceImage(good); err != nil {
+		t.Fatalf("well-formed image refused: %v", err)
+	}
+	badProfile := append([]byte(nil), good...)
+	badProfile[len(xen.LaunchDigest{})] = 7
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"appended byte", append(append([]byte(nil), good...), 0)},
+		{"truncated envelope", good[:len(good)-1]},
+		{"bad profile", badProfile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if img, err := DecodeInstanceImage(tc.b); !errors.Is(err, ErrBadImage) {
+				t.Fatalf("DecodeInstanceImage = %+v, %v; want ErrBadImage", img, err)
+			}
+		})
 	}
 }
 

@@ -1,28 +1,22 @@
 package xvtpm
 
-// Host-level migration primitives. SendGuest/ReceiveGuest remain the
-// conn-oriented protocol drivers (the attack experiments intercept that
-// channel); the primitives below decompose the source side into prepare /
-// finish / cancel steps so a coordinator — the in-process Migrate below, or
-// internal/cluster's fenced two-phase handoff — can verify the destination
-// copy before the source copy dies, and roll back deterministically when the
-// transfer tears mid-flight.
+// Host-level migration primitives. They decompose a move into prepare /
+// receive / finish / cancel steps so internal/cluster's fenced two-phase
+// handoff — the only coordinator that moves a guest between hosts — can
+// verify the destination copy before the source copy dies, and roll back
+// deterministically when the transfer tears mid-flight. The vTPM state
+// crosses hosts as vtpm.EncodeInstanceImage bytes, sealed by the guard to
+// the destination's MigrationIdentity; the saved domain image is handed
+// over in memory.
 
 import (
 	"crypto/rsa"
 	"errors"
-	"fmt"
-	"net"
 
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 	"xvtpm/internal/xen"
 )
-
-// ErrMigrationDiverged reports that the destination's imported vTPM did not
-// match the source's PCR bank — the source copy is preserved and the
-// destination copy destroyed.
-var ErrMigrationDiverged = errors.New("xvtpm: migrated vTPM diverged from source PCR bank")
 
 // MigrationIdentity is the public key migration envelopes to this host are
 // encrypted to (nil in baseline mode, which ships plaintext).
@@ -61,7 +55,7 @@ func (h *Host) BeginMigration(g *Guest) (*xen.DomainImage, error) {
 }
 
 // FinishMigration destroys the source copies of a migrated guest — called
-// only after the destination copy is activated (and, in Migrate, verified).
+// only after the destination copy is activated and verified.
 func (h *Host) FinishMigration(g *Guest) error {
 	if err := h.destroyInstance(g.Instance); err != nil {
 		return err
@@ -105,9 +99,9 @@ func (h *Host) ReattachGuest(g *Guest) (*Guest, error) {
 
 // ReceiveImage activates a migrated guest from in-memory images — the
 // destination half the cluster's transfer leg hands over after shipping the
-// encoded images between hosts. A partial failure leaves nothing behind:
-// the imported instance is destroyed again if the domain restore or device
-// attach fails.
+// encoded instance image between hosts. A partial failure leaves nothing
+// behind: the imported instance is destroyed again if the domain restore or
+// device attach fails.
 func (h *Host) ReceiveImage(domImg *xen.DomainImage, img *vtpm.InstanceImage) (*Guest, error) {
 	id, err := h.Manager.ImportInstance(img)
 	if err != nil {
@@ -159,68 +153,4 @@ func (h *Host) AdoptGuest(spec GuestConfig, origID vtpm.InstanceID, blob []byte)
 // InstancePCRDigest fingerprints a local instance's full PCR bank.
 func (h *Host) InstancePCRDigest(id vtpm.InstanceID) ([tpm.DigestSize]byte, error) {
 	return h.Manager.PCRDigest(id)
-}
-
-// Migrate moves a guest between two in-process hosts over an internal pipe,
-// verifying before the source copy is destroyed: the source is quiesced
-// (flush barrier included), the images travel, and only once the destination
-// copy's PCR bank matches the source's does the source die. On any failure —
-// transfer error or PCR divergence — the destination copy is discarded, the
-// source guest is restored and returned alongside the error, so exactly one
-// live copy exists on every path. For an interceptable channel (the
-// migration attack experiments), use SendGuest/ReceiveGuest with your own
-// conn.
-func Migrate(src *Host, g *Guest, dst *Host) (*Guest, error) {
-	domImg, err := src.BeginMigration(g)
-	if err != nil {
-		return nil, err
-	}
-	// The quiesced source's fingerprint: nothing mutates it past the flush
-	// barrier, so this is the bank the destination must reproduce.
-	srcPCRs, err := src.Manager.PCRDigest(g.Instance)
-	if err != nil {
-		return migrateRollback(src, g, domImg, err)
-	}
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	type recvResult struct {
-		g   *Guest
-		err error
-	}
-	done := make(chan recvResult, 1)
-	go func() {
-		ng, err := dst.ReceiveGuest(c2)
-		done <- recvResult{ng, err}
-	}()
-	sendErr := vtpm.SendMigration(c1, src.Manager, domImg, g.Instance)
-	r := <-done
-	if sendErr != nil || r.err != nil {
-		if r.g != nil {
-			dst.DestroyGuest(r.g) //nolint:errcheck // discarding the unverified copy
-		}
-		return migrateRollback(src, g, domImg, errors.Join(sendErr, r.err))
-	}
-	dstPCRs, err := dst.Manager.PCRDigest(r.g.Instance)
-	if err == nil && dstPCRs != srcPCRs {
-		err = ErrMigrationDiverged
-	}
-	if err != nil {
-		dst.DestroyGuest(r.g) //nolint:errcheck // discarding the diverged copy
-		return migrateRollback(src, g, domImg, err)
-	}
-	if err := src.FinishMigration(g); err != nil {
-		return r.g, err
-	}
-	return r.g, nil
-}
-
-// migrateRollback restores the source guest after a failed migration,
-// returning the restored handle with the causal error.
-func migrateRollback(src *Host, g *Guest, domImg *xen.DomainImage, cause error) (*Guest, error) {
-	rg, rerr := src.CancelMigration(g, domImg)
-	if rerr != nil {
-		return nil, errors.Join(cause, fmt.Errorf("xvtpm: restoring source after failed migration: %w", rerr))
-	}
-	return rg, cause
 }

@@ -123,47 +123,3 @@ func TestMixedFleetChurn(t *testing.T) {
 		t.Fatalf("fleet not empty after churn: %d guests", n)
 	}
 }
-
-// TestMigratePreservesProfile migrates a 2.0 guest between two unpinned
-// hosts and checks the profile and SHA-256 bank survive the transfer.
-func TestMigratePreservesProfile(t *testing.T) {
-	newFleetHost := func(name string) *xvtpm.Host {
-		h, err := xvtpm.NewHost(xvtpm.HostConfig{Name: name, Mode: xvtpm.ModeImproved, RSABits: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			if err := h.Close(); err != nil {
-				t.Errorf("Close %s: %v", name, err)
-			}
-		})
-		return h
-	}
-	src := newFleetHost("mig-src")
-	dst := newFleetHost("mig-dst")
-	g, err := src.CreateGuest(xvtpm.GuestConfig{Name: "mg", Kernel: []byte("mk"), Profile: tpm.Profile20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.TPM2.Extend(10, []byte("pre-migration")); err != nil {
-		t.Fatal(err)
-	}
-	before, _, err := g.TPM2.PCRRead(tpm.TPM2AlgSHA256, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := xvtpm.Migrate(src, g, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved.Profile != tpm.Profile20 || moved.TPM2 == nil {
-		t.Fatalf("migrated guest lost its profile: %s", moved.Profile)
-	}
-	after, _, err := moved.TPM2.PCRRead(tpm.TPM2AlgSHA256, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("sha256 PCR[10] changed across migration: %x != %x", before, after)
-	}
-}

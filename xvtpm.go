@@ -1,7 +1,8 @@
 // Package xvtpm is the public API of the vTPM access-control reproduction:
 // it assembles a simulated Xen host — hypervisor, XenStore, hardware TPM,
 // vTPM manager with a chosen access-control guard — and offers guest
-// lifecycle, TPM access and live migration on top.
+// lifecycle, TPM access and the per-host migration steps on top. Moving a
+// guest between hosts is internal/cluster's Cluster.Migrate.
 //
 // The package reproduces "Improvement for vTPM Access Control on Xen"
 // (Morikawa, Ebara, Onishi, Nakano; ICPP Workshops 2010). Two access-control
@@ -25,7 +26,6 @@ import (
 	"crypto/sha1"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -709,35 +709,4 @@ func (h *Host) ResumeGuest(handle string) (*Guest, error) {
 		return nil, err
 	}
 	return h.attachGuest(dom, sg.inst, false)
-}
-
-// SendGuest drives the source side of live migration over conn: detach the
-// device, suspend and save the domain, and ship domain plus vTPM state
-// (guard-protected) to the peer. On success the source copies are destroyed.
-// The trust-the-wire protocol driver: for verified or fenced migration use
-// Migrate or internal/cluster.
-func (h *Host) SendGuest(conn io.ReadWriter, g *Guest) error {
-	domImg, err := h.BeginMigration(g)
-	if err != nil {
-		return err
-	}
-	if err := vtpm.SendMigration(conn, h.Manager, domImg, g.Instance); err != nil {
-		return err
-	}
-	return h.FinishMigration(g)
-}
-
-// ReceiveGuest drives the destination side of live migration over conn and
-// returns the resumed guest with its vTPM reconnected.
-func (h *Host) ReceiveGuest(conn io.ReadWriter) (*Guest, error) {
-	var migPub = h.guard.MigrationIdentity()
-	domImg, inst, err := vtpm.ReceiveMigration(conn, h.Manager, migPub)
-	if err != nil {
-		return nil, err
-	}
-	dom, err := h.HV.RestoreDomain(xen.Dom0, domImg)
-	if err != nil {
-		return nil, err
-	}
-	return h.attachGuest(dom, inst, true)
 }

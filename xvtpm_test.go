@@ -5,7 +5,6 @@ import (
 	"crypto/sha1"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 
@@ -210,111 +209,6 @@ func TestManagerRestartRevivesInstances(t *testing.T) {
 	got, err := cli.PCRRead(5)
 	if err != nil || got != want {
 		t.Fatalf("revived PCR5 = %x (%v), want %x", got, err, want)
-	}
-}
-
-func TestMigrationPreservesVTPMState(t *testing.T) {
-	testBothModes(t, func(t *testing.T, mode Mode) {
-		src := newTestHost(t, "src-"+mode.String(), mode)
-		dst := newTestHost(t, "dst-"+mode.String(), mode)
-		g := newTestGuest(t, src, "traveler")
-		m := sha1.Sum([]byte("pre-migration"))
-		if _, err := g.TPM.Extend(9, m); err != nil {
-			t.Fatal(err)
-		}
-		want, _ := g.TPM.PCRRead(9)
-		ownGuestTPM(t, g)
-		blob, err := g.TPM.Seal(tpm.KHSRK, gSRK, gData, nil, []byte("migrating-secret"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ng, err := Migrate(src, g, dst)
-		if err != nil {
-			t.Fatalf("Migrate: %v", err)
-		}
-		// Source copies are gone.
-		if len(src.Manager.Instances()) != 0 {
-			t.Fatal("source instance survives migration")
-		}
-		// PCR state survived.
-		got, err := ng.TPM.PCRRead(9)
-		if err != nil || got != want {
-			t.Fatalf("migrated PCR9 = %x (%v), want %x", got, err, want)
-		}
-		// The sealed blob still unseals on the destination (same vTPM).
-		data, err := ng.TPM.Unseal(tpm.KHSRK, gSRK, gData, blob)
-		if err != nil || string(data) != "migrating-secret" {
-			t.Fatalf("unseal after migration: %v %q", err, data)
-		}
-		// And the guest keeps working.
-		if _, err := ng.TPM.Extend(9, m); err != nil {
-			t.Fatalf("post-migration extend: %v", err)
-		}
-	})
-}
-
-// TestInboundMigrationUsesResidentBindKey: an improved destination opens a
-// migration envelope with exactly two hardware-TPM commands — OIAP and
-// TPM_UnBind on the bind key it keeps loaded, never reloading it per move —
-// and Host.Close flushes that key.
-func TestInboundMigrationUsesResidentBindKey(t *testing.T) {
-	src := newTestHost(t, "bind-src", ModeImproved)
-	dst := newTestHost(t, "bind-dst", ModeImproved)
-	loaded := func() uint32 {
-		t.Helper()
-		n, err := dst.HW.LoadedKeyCount()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	for i := 0; i < 3; i++ {
-		g := newTestGuest(t, src, fmt.Sprint("mover-", i))
-		before := dst.HWTPM.CommandCount()
-		ng, err := Migrate(src, g, dst)
-		if err != nil {
-			t.Fatalf("Migrate %d: %v", i, err)
-		}
-		if n := dst.HWTPM.CommandCount() - before; n != 2 {
-			t.Fatalf("inbound migration %d cost %d hardware-TPM commands, want 2", i, n)
-		}
-		if err := dst.DestroyGuest(ng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := loaded(); n != 1 {
-		t.Fatalf("%d keys loaded in the destination's hardware TPM, want 1", n)
-	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := loaded(); n != 0 {
-		t.Fatalf("%d keys loaded after Host.Close, want 0", n)
-	}
-}
-
-func TestMigrationOverExplicitConn(t *testing.T) {
-	src := newTestHost(t, "esrc", ModeImproved)
-	dst := newTestHost(t, "edst", ModeImproved)
-	g := newTestGuest(t, src, "t")
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	errCh := make(chan error, 1)
-	var ng *Guest
-	go func() {
-		var err error
-		ng, err = dst.ReceiveGuest(c2)
-		errCh <- err
-	}()
-	if err := src.SendGuest(c1, g); err != nil {
-		t.Fatalf("SendGuest: %v", err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("ReceiveGuest: %v", err)
-	}
-	if _, err := ng.TPM.GetRandom(8); err != nil {
-		t.Fatalf("migrated guest TPM: %v", err)
 	}
 }
 
