@@ -20,13 +20,14 @@ import (
 	"xvtpm/internal/attack"
 )
 
-var hostCtr int
-
+// factory boots seeded hosts under fixed names, so every run prints the same
+// evidence; the seed mixes in the name, so source and peer keep distinct
+// keys.
 func factory(mode xvtpm.Mode, bits int) attack.HostFactory {
+	seed := []byte("attacksim")
 	return func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
-		hostCtr++
 		h, err := xvtpm.NewHost(xvtpm.HostConfig{
-			Name: fmt.Sprintf("sim-%s-%d", mode, hostCtr), Mode: mode, RSABits: bits,
+			Name: "sim-" + mode.String(), Mode: mode, RSABits: bits, Seed: seed,
 		})
 		if err != nil {
 			return nil, nil, nil, err
@@ -35,9 +36,8 @@ func factory(mode xvtpm.Mode, bits int) attack.HostFactory {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		hostCtr++
 		peer, err := xvtpm.NewHost(xvtpm.HostConfig{
-			Name: fmt.Sprintf("sim-peer-%s-%d", mode, hostCtr), Mode: mode, RSABits: bits,
+			Name: "sim-peer-" + mode.String(), Mode: mode, RSABits: bits, Seed: seed,
 		})
 		if err != nil {
 			return nil, nil, nil, err

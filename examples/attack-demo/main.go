@@ -13,13 +13,14 @@ import (
 	"xvtpm/internal/attack"
 )
 
-var hostCtr int
-
+// factory boots seeded hosts under fixed names, so every run prints the same
+// evidence; the seed mixes in the name, so source and peer keep distinct
+// keys.
 func factory(mode xvtpm.Mode) attack.HostFactory {
+	seed := []byte("attack-demo")
 	return func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
-		hostCtr++
 		h, err := xvtpm.NewHost(xvtpm.HostConfig{
-			Name: fmt.Sprintf("demo-%s-%d", mode, hostCtr), Mode: mode, RSABits: 512,
+			Name: "demo-" + mode.String(), Mode: mode, RSABits: 512, Seed: seed,
 		})
 		if err != nil {
 			return nil, nil, nil, err
@@ -28,9 +29,8 @@ func factory(mode xvtpm.Mode) attack.HostFactory {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		hostCtr++
 		peer, err := xvtpm.NewHost(xvtpm.HostConfig{
-			Name: fmt.Sprintf("demo-peer-%s-%d", mode, hostCtr), Mode: mode, RSABits: 512,
+			Name: "demo-peer-" + mode.String(), Mode: mode, RSABits: 512, Seed: seed,
 		})
 		if err != nil {
 			return nil, nil, nil, err

@@ -666,6 +666,31 @@ func TestImprovedImportRefusesTamperedKek(t *testing.T) {
 	}
 }
 
+// TestImprovedImportRefusesTrailingBytes: bytes appended after an honest
+// migration envelope lie outside its MAC, so the import refuses them — and
+// before it spends a hardware-TPM command on the KEK.
+func TestImprovedImportRefusesTrailingBytes(t *testing.T) {
+	gSrc, _ := newImproved(t, "trail-src")
+	cli, dstKeys := newPlatform(t, "trail-dst")
+	gDst := NewImprovedGuard(dstKeys, NewPolicy())
+	state := []byte("instance state to migrate")
+	env, err := gSrc.ExportState(testInstance(2, "traveler"), state, gDst.MigrationIdentity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append(append([]byte(nil), env...), make([]byte, 13)...)
+	before := hwCommands(cli)
+	if _, err := gDst.ImportState(padded); !errors.Is(err, vtpm.ErrStateSealed) {
+		t.Fatalf("13 trailing bytes: err = %v, want ErrStateSealed", err)
+	}
+	if d := hwCommands(cli) - before; d != 0 {
+		t.Fatalf("refused import ran %d hardware-TPM commands, want 0", d)
+	}
+	if got, err := gDst.ImportState(env); err != nil || !bytes.Equal(got, state) {
+		t.Fatalf("honest import after a refused one: %v", err)
+	}
+}
+
 func TestImprovedExportRequiresDestinationKey(t *testing.T) {
 	g, _ := newImproved(t, "i5")
 	if _, err := g.ExportState(testInstance(1, "g"), []byte("s"), nil); err == nil {

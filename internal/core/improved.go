@@ -376,13 +376,17 @@ func (g *ImprovedGuard) ExportState(inst vtpm.InstanceInfo, state []byte, destEK
 
 // ImportState implements vtpm.Guard: the KEK is recovered inside the
 // hardware TPM via TPM_UnBind, so the bind private key never exists in host
-// memory.
+// memory. An envelope with bytes past its two fields is refused before any
+// hardware-TPM command runs: nothing would authenticate them.
 func (g *ImprovedGuard) ImportState(blob []byte) ([]byte, error) {
 	r := tpm.NewReader(blob)
 	encKek := r.B32()
 	env := r.B32()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", vtpm.ErrStateSealed, err)
+	}
+	if n := r.Remaining(); n != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the migration envelope", vtpm.ErrStateSealed, n)
 	}
 	kek, err := g.keys.UnbindMigrationKek(encKek)
 	if err != nil {

@@ -18,10 +18,19 @@ import (
 // Reconstructed Table 2.
 func E4AttackMatrix(cfg Config) (map[xvtpm.Mode][]attack.Result, error) {
 	out := make(map[xvtpm.Mode][]attack.Result)
+	// Hosts are seeded under fixed names, as E8's are, so every run reports
+	// the same evidence; the seed mixes in the name, so source and peer keep
+	// distinct keys.
+	seeded := func(name string) func(*xvtpm.HostConfig) {
+		return func(hc *xvtpm.HostConfig) {
+			hc.Name = name
+			hc.Seed = []byte("e4-attacks")
+		}
+	}
 	for _, mode := range Modes {
 		mode := mode
 		factory := func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
-			h, err := newHost(cfg, mode)
+			h, err := newHost(cfg, mode, seeded("e4-"+mode.String()))
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -29,7 +38,7 @@ func E4AttackMatrix(cfg Config) (map[xvtpm.Mode][]attack.Result, error) {
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			peer, err := newHost(cfg, mode)
+			peer, err := newHost(cfg, mode, seeded("e4-peer-"+mode.String()))
 			if err != nil {
 				return nil, nil, nil, err
 			}

@@ -31,6 +31,7 @@ type Histogram struct {
 
 	count atomic.Uint64 // total samples
 	sum   atomic.Int64  // total nanoseconds
+	max   atomic.Int64  // largest sample, nanoseconds
 }
 
 // DefaultLatencyBounds covers 1µs to ~8.6s in factor-of-2 steps — wide
@@ -87,6 +88,10 @@ func (h *Histogram) Record(d time.Duration) {
 	if n < 0 {
 		n = 0
 	}
+	// The maximum moves before the bucket count, so a snapshot that counts
+	// this sample also sees a maximum at least as large.
+	for m := h.max.Load(); n > m && !h.max.CompareAndSwap(m, n); m = h.max.Load() {
+	}
 	h.counts[h.bucketOf(n)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(n)
@@ -109,12 +114,13 @@ func (h *Histogram) Mean() time.Duration {
 
 // HistogramSnapshot is a point-in-time copy of a histogram's counters.
 // Counts[i] pairs with Bounds[i]; the final entry of Counts is the +Inf
-// bucket.
+// bucket. Max is the largest sample recorded.
 type HistogramSnapshot struct {
 	Bounds []int64
 	Counts []uint64
 	Count  uint64
 	Sum    time.Duration
+	Max    time.Duration
 }
 
 // Snapshot copies the histogram's counters. Concurrent Records may land
@@ -132,13 +138,19 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Count += c
 	}
 	s.Sum = time.Duration(h.sum.Load())
+	s.Max = time.Duration(h.max.Load()) // after the counts: see Record
 	return s
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) of a snapshot by
 // locating the bucket holding the rank and interpolating linearly inside
 // it. The +Inf bucket reports its lower bound (the largest finite bound).
+// No estimate exceeds the largest sample recorded.
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	return min(s.interpolate(q), s.Max)
+}
+
+func (s HistogramSnapshot) interpolate(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}

@@ -100,6 +100,25 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// Interpolating inside a bucket must not report a latency no sample had:
+// with every sample just above a bucket's lower edge, p99 would otherwise
+// land near the bucket's upper bound.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	h := NewHistogram([]int64{int64(time.Microsecond), int64(10 * time.Microsecond), int64(100 * time.Microsecond)})
+	const sample = time.Microsecond + time.Nanosecond
+	for i := 0; i < 100; i++ {
+		h.Record(sample)
+	}
+	if got := h.Snapshot().Max; got != sample {
+		t.Fatalf("snapshot Max = %v, want %v", got, sample)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+		if got := h.Quantile(q); got > sample {
+			t.Errorf("Quantile(%v) = %v, above the largest sample %v", q, got, sample)
+		}
+	}
+}
+
 func TestHistogramQuantileEmptyAndOverflow(t *testing.T) {
 	h := NewHistogram([]int64{10, 20})
 	if got := h.Quantile(0.99); got != 0 {

@@ -71,3 +71,22 @@ func BenchmarkWatchFire(b *testing.B) {
 		<-w.Events()
 	}
 }
+
+// BenchmarkTxnStart measures opening and aborting a transaction on a store
+// holding 64 and 5,000 guest-shaped directories: the transaction shares the
+// live tree, so both cost the same.
+func BenchmarkTxnStart(b *testing.B) {
+	for _, guests := range []int{64, 5000} {
+		b.Run(fmt.Sprintf("guests=%d", guests), func(b *testing.B) {
+			s := guestShapedStore(b, guests)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := s.TxnStart(xen.Dom0)
+				if err := s.TxnAbort(xen.Dom0, id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -7,16 +7,24 @@ import (
 	"xvtpm/internal/xen"
 )
 
-// TxnStart opens a transaction: a private snapshot of the whole tree the
-// caller mutates in isolation until commit.
+// TxnStart opens a transaction in O(1): a copy-on-write view of the live
+// tree, not a private snapshot. The transaction's own mutations stay
+// invisible outside it until commit, and each copies only the nodes on its
+// path. Reads in the transaction walk that view; below any node it has not
+// copied, they read the live tree, values written after TxnStart included.
+// The commit guarantee is unchanged: every path a transaction reads or
+// writes is checked at commit, and a commit succeeds only if none of those
+// nodes changed since TxnStart, so a committed transaction read only values
+// that were current when it began.
 func (s *Store) TxnStart(caller xen.DomID) TxnID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextTxn++
 	id := s.nextTxn
 	s.txns[id] = &txn{
+		id:        id,
 		owner:     caller,
-		root:      s.root.clone(),
+		root:      s.root,
 		baseGen:   s.gen,
 		touched:   make(map[string]struct{}),
 		ownedSeen: make(map[xen.DomID]int),
@@ -63,11 +71,11 @@ func (s *Store) TxnCommit(caller xen.DomID, id TxnID) error {
 			return fmt.Errorf("%w: %s", ErrConflict, path)
 		}
 	}
-	// Replay the transaction's mutations onto the live tree. Swapping in the
-	// transaction's snapshot wholesale would silently drop every node created
+	// Replay the transaction's mutations onto the live tree. Grafting the
+	// transaction's view in wholesale would silently drop every node created
 	// concurrently on paths this transaction never looked at — a lost update
 	// the conflict check above cannot see. The ops were permission-checked
-	// against the snapshot when issued, and the conflict check just proved
+	// against the view when issued, and the conflict check just proved
 	// the paths they touch are unchanged, so replay applies them directly;
 	// quota is re-validated in a dry pass first so a failure leaves the live
 	// tree untouched.
@@ -139,6 +147,7 @@ func (s *Store) replayLocked(op txnOp) {
 				child = &node{
 					children: make(map[string]*node),
 					perms:    Perms{Owner: op.caller, Default: n.perms.Default},
+					gen:      s.gen,
 				}
 				if n.children == nil {
 					n.children = make(map[string]*node)

@@ -8,8 +8,8 @@
 //
 //   - per-node permissions with an owner and per-domain ACL entries, with
 //     dom0 always privileged;
-//   - transactions with optimistic concurrency (commit fails with
-//     ErrConflict if a touched node changed underneath, like EAGAIN);
+//   - copy-on-write transactions with optimistic concurrency (commit fails
+//     with ErrConflict if a touched node changed underneath, like EAGAIN);
 //   - watches that fire on any mutation at or below a path, including the
 //     initial synthetic event on registration.
 package xenstore
@@ -17,6 +17,7 @@ package xenstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -96,17 +97,18 @@ type node struct {
 	children map[string]*node
 	perms    Perms
 	gen      uint64 // store generation of last mutation
+	// txn is the transaction this node is a private copy in, or NoTxn for a
+	// live node. Only that transaction mutates it, and it is never reachable
+	// from the live root.
+	txn TxnID
 }
 
-func (n *node) clone() *node {
-	c := &node{value: append([]byte(nil), n.value...), perms: n.perms.clone(), gen: n.gen}
-	if n.children != nil {
-		c.children = make(map[string]*node, len(n.children))
-		for name, ch := range n.children {
-			c.children[name] = ch.clone()
-		}
-	}
-	return c
+// copyFor returns n's private copy for transaction id. The copy shares n's
+// value and perms, which every mutation replaces wholesale and never edits
+// in place, and n's children; it gets its own child map, so the transaction
+// can add, replace and drop names without the live tree seeing it.
+func (n *node) copyFor(id TxnID) *node {
+	return &node{value: n.value, children: maps.Clone(n.children), perms: n.perms, gen: n.gen, txn: id}
 }
 
 // Store is one host's XenStore.
@@ -131,16 +133,27 @@ type TxnID uint32
 // NoTxn is the TxnID meaning "operate directly on the store".
 const NoTxn TxnID = 0
 
-// txn is an open transaction: a private copy of the tree the owner mutates
-// in isolation, the set of paths it touched (reads and writes alike, for
-// conflict detection at commit), and the ordered log of its mutations.
+// txn is an open transaction: a copy-on-write view of the live tree, the
+// set of paths it touched (reads and writes alike, for conflict detection at
+// commit), and the ordered log of its mutations.
+//
+// The view starts as the live root itself. The first Write, Remove or
+// SetPerms on a path copies only the nodes along that path, and later
+// operations reuse those copies; a copied node's child set is the
+// transaction's own from then on. Below any node the transaction has not
+// copied, the view is the live tree, so a read can return a value written
+// after TxnStart. Such a read cannot commit: every read path is in touched,
+// and commit refuses a touched node whose generation moved past baseGen.
+//
 // Commit replays the log onto the live tree rather than swapping trees, so
 // nodes created concurrently on paths the transaction never touched
 // survive — the real store's semantics, and the property mass guest
-// creation depends on.
+// creation depends on. The copies die with the transaction; none is ever
+// reachable from the live root.
 type txn struct {
+	id      TxnID
 	owner   xen.DomID
-	root    *node
+	root    *node // the live root until the first mutation copies it
 	baseGen uint64
 	touched map[string]struct{}
 	ops     []txnOp
@@ -263,6 +276,37 @@ func (s *Store) treeFor(id TxnID) (*node, *txn, error) {
 	return t.root, t, nil
 }
 
+// privatePath returns t's own copy of the node at parts, copying each node
+// along the path that t does not own yet. Every node on the path must exist.
+func (t *txn) privatePath(parts []string) *node {
+	n := t.privateRoot()
+	for _, p := range parts {
+		n = t.private(n, p)
+	}
+	return n
+}
+
+// privateRoot returns t's own copy of the root, copying the live root on
+// the transaction's first mutation.
+func (t *txn) privateRoot() *node {
+	if t.root.txn != t.id {
+		t.root = t.root.copyFor(t.id)
+	}
+	return t.root
+}
+
+// private returns t's own copy of parent's existing child name, where
+// parent is t's own already: a child still shared with the live tree is
+// copied and the copy takes its place in parent.
+func (t *txn) private(parent *node, name string) *node {
+	c := parent.children[name]
+	if c.txn != t.id {
+		c = c.copyFor(t.id)
+		parent.children[name] = c
+	}
+	return c
+}
+
 // Read returns a node's value.
 func (s *Store) Read(caller xen.DomID, id TxnID, path string) ([]byte, error) {
 	parts, err := split(path)
@@ -338,71 +382,86 @@ func (s *Store) Write(caller xen.DomID, id TxnID, path string, value []byte) err
 		s.mu.Unlock()
 		return err
 	}
-	// Quota check for unprivileged creators, O(1) against the incremental
-	// counters (the transaction's lazily-seeded view when inside one).
-	n := root
-	created := false
-	var createdParent *node
-	for i, p := range parts {
-		child, ok := n.children[p]
+	// Walk the part of the path that exists; the rest gets created.
+	n, have := root, 0
+	for ; have < len(parts); have++ {
+		child, ok := n.children[parts[have]]
 		if !ok {
-			if !n.perms.allows(caller, PermWrite) {
-				s.mu.Unlock()
-				return fmt.Errorf("%w: dom%d create under %s", ErrPerm, caller, "/"+strings.Join(parts[:i], "/"))
-			}
-			if caller != xen.Dom0 && s.nodeQuota > 0 {
-				cnt := s.owned[caller]
-				if t != nil {
-					if seen, ok := t.ownedSeen[caller]; ok {
-						cnt = seen
-					}
-				}
-				if cnt >= s.nodeQuota {
-					s.mu.Unlock()
-					return fmt.Errorf("%w: dom%d at %d nodes", ErrQuota, caller, cnt)
-				}
-			}
-			child = &node{
-				children: make(map[string]*node),
-				perms:    Perms{Owner: caller, Default: n.perms.Default},
-			}
-			if n.children == nil {
-				n.children = make(map[string]*node)
-			}
-			n.children[p] = child
-			if t != nil {
-				if _, ok := t.ownedSeen[caller]; !ok {
-					t.ownedSeen[caller] = s.owned[caller]
-				}
-				t.ownedSeen[caller]++
-			} else {
-				s.owned[caller]++
-			}
-			if !created {
-				createdParent = n
-			}
-			created = true
+			break
 		}
 		n = child
 	}
-	if !created && !n.perms.allows(caller, PermWrite) {
+	missing := len(parts) - have
+	if !n.perms.allows(caller, PermWrite) {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: dom%d write %s", ErrPerm, caller, path)
+		if missing == 0 {
+			return fmt.Errorf("%w: dom%d write %s", ErrPerm, caller, path)
+		}
+		return fmt.Errorf("%w: dom%d create under %s", ErrPerm, caller, "/"+strings.Join(parts[:have], "/"))
 	}
+	// Quota check for unprivileged creators, O(1) against the incremental
+	// counters (the transaction's lazily-seeded view when inside one). It
+	// covers every node the write creates before it creates any, so a
+	// refused write leaves no partial path behind.
+	if missing > 0 && caller != xen.Dom0 && s.nodeQuota > 0 {
+		cnt := s.owned[caller]
+		if t != nil {
+			if seen, ok := t.ownedSeen[caller]; ok {
+				cnt = seen
+			}
+		}
+		if cnt+missing > s.nodeQuota {
+			s.mu.Unlock()
+			return fmt.Errorf("%w: dom%d at %d nodes", ErrQuota, caller, cnt)
+		}
+	}
+	var tag TxnID
+	if t != nil {
+		n, tag = t.privatePath(parts[:have]), t.id
+	} else {
+		s.gen++
+	}
+	// Each created node carries the write's generation, intermediate ones
+	// included: a transaction that reads one through the live tree must
+	// conflict at commit.
+	createdParent := n
+	for _, p := range parts[have:] {
+		child := &node{
+			children: make(map[string]*node),
+			perms:    Perms{Owner: caller, Default: n.perms.Default},
+			gen:      s.gen,
+			txn:      tag,
+		}
+		if n.children == nil {
+			n.children = make(map[string]*node)
+		}
+		n.children[p] = child
+		n = child
+	}
+	// Values are replaced wholesale and never edited in place, so the node
+	// and a transaction's op log can share one copy.
 	n.value = append([]byte(nil), value...)
 	if t != nil {
+		if missing > 0 {
+			if _, ok := t.ownedSeen[caller]; !ok {
+				t.ownedSeen[caller] = s.owned[caller]
+			}
+			t.ownedSeen[caller] += missing
+		}
 		t.touched[path] = struct{}{}
-		t.ops = append(t.ops, txnOp{kind: opWrite, caller: caller, path: path, parts: parts, value: append([]byte(nil), value...)})
+		t.ops = append(t.ops, txnOp{kind: opWrite, caller: caller, path: path, parts: parts, value: n.value})
 		s.mu.Unlock()
 		return nil
 	}
-	s.gen++
+	if missing > 0 {
+		s.owned[caller] += missing
+	}
 	// A write modifies the written node; creating it also modifies the
 	// deepest pre-existing ancestor (its child set changed) — per-node
 	// granularity, like real xenstored, so unrelated subtrees never
 	// conflict with each other's transactions.
 	n.gen = s.gen
-	if createdParent != nil {
+	if missing > 0 {
 		createdParent.gen = s.gen
 	}
 	s.fireLocked(path)
@@ -434,6 +493,9 @@ func (s *Store) Remove(caller xen.DomID, id TxnID, path string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: dom%d remove %s", ErrPerm, caller, path)
 	}
+	if t != nil {
+		parent = t.privatePath(parts[:len(parts)-1])
+	}
 	delete(parent.children, parts[len(parts)-1])
 	if t != nil {
 		s.txnOwnedAdjust(t, n, -1)
@@ -458,7 +520,7 @@ func (s *Store) GetPerms(caller xen.DomID, id TxnID, path string) (Perms, error)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	root, _, err := s.treeFor(id)
+	root, t, err := s.treeFor(id)
 	if err != nil {
 		return Perms{}, err
 	}
@@ -468,6 +530,9 @@ func (s *Store) GetPerms(caller xen.DomID, id TxnID, path string) (Perms, error)
 	}
 	if !n.perms.allows(caller, PermRead) {
 		return Perms{}, fmt.Errorf("%w: dom%d getperms %s", ErrPerm, caller, path)
+	}
+	if t != nil {
+		t.touched[path] = struct{}{}
 	}
 	return n.perms.clone(), nil
 }
@@ -492,6 +557,9 @@ func (s *Store) SetPerms(caller xen.DomID, id TxnID, path string, perms Perms) e
 	if caller != xen.Dom0 && caller != n.perms.Owner {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: dom%d setperms %s", ErrPerm, caller, path)
+	}
+	if t != nil {
+		n = t.privatePath(parts)
 	}
 	prevOwner := n.perms.Owner
 	n.perms = perms.clone()
