@@ -502,45 +502,3 @@ func BenchmarkChannelEnvelope(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkGuestPipelinedThroughput measures aggregate guest-path
-// throughput at pipeline depth 1 (lockstep) versus depth 8, with 8
-// concurrent submitters per guest. ns/op is inverse throughput: wall time
-// divided by completed commands.
-//
-// Both rows run with a modelled 25µs event-channel delivery cost
-// (HostConfig.EventLatency): on real Xen every doorbell is a hypercall
-// plus an upcall into the peer domain, and hiding that latency is
-// precisely what pipelining and doorbell suppression are for. With
-// instantaneous doorbells the comparison would instead measure the
-// single-core crypto floor, which no transport change can move.
-func BenchmarkGuestPipelinedThroughput(b *testing.B) {
-	for _, depth := range []int{1, 8} {
-		depth := depth
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			h := benchHost(b, xvtpm.ModeImproved, func(hc *xvtpm.HostConfig) {
-				hc.PipelineDepth = depth
-				hc.EventLatency = 25 * time.Microsecond
-			})
-			g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "pt", Kernel: []byte("ptk")})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 50; i++ {
-				if _, err := g.TPM.GetRandom(16); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.SetParallelism(8)
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := g.TPM.GetRandom(16); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}

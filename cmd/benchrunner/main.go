@@ -2,15 +2,15 @@
 // paper: every table and figure (E1–E8 in DESIGN.md) plus the harness
 // extensions (E9 flood control, E10 recovery, E11 concurrent dispatch,
 // E12 checkpoint policy, E13 fault storm, E14 observability overhead,
-// E15 transport pipeline, E16 per-profile sweep, E17 log-structured
-// checkpoint store, E18 federation drain/evacuation/fault-storm, E19
-// open-loop capacity sweep, E20 signing pool),
-// printed as aligned text tables and series.
+// E16 per-profile sweep, E17 log-structured checkpoint store, E18
+// federation drain/evacuation/fault-storm, E19 open-loop capacity sweep,
+// E20 signing pool), printed as aligned text tables and series. E15, the
+// retired transport-pipeline sweep, has no runner.
 // It also hosts the CI benchmark-regression gate (-bench / -check).
 //
 // Usage:
 //
-//	benchrunner [-exp all|E1|E2|...|E20] [-bits 512] [-quick]
+//	benchrunner [-exp all|E1|E2|...|E14|E16|...|E20] [-bits 512] [-quick]
 //	benchrunner -bench [-out BENCH.json]
 //	benchrunner -check BENCH_baseline.json|auto [-tolerance 0.15]
 //
@@ -94,7 +94,7 @@ func runBenchCheck(cfg experiments.Config, baselinePath string, tolerance float6
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, or one of E1..E20")
+	exp := flag.String("exp", "all", "experiment to run: all, or one of E1..E14, E16..E20")
 	bits := flag.Int("bits", 512, "RSA modulus size for all TPM keys")
 	quick := flag.Bool("quick", false, "reduced repetitions (smoke run)")
 	bench := flag.Bool("bench", false, "run the benchmark-gate suite and emit JSON instead of experiments")
@@ -135,14 +135,13 @@ func main() {
 		"E12": func() error { _, err := experiments.E12CheckpointPolicy(cfg); return err },
 		"E13": func() error { _, err := experiments.E13FaultStorm(cfg); return err },
 		"E14": func() error { _, err := experiments.E14Observability(cfg); return err },
-		"E15": func() error { _, err := experiments.E15Transport(cfg); return err },
 		"E16": func() error { _, err := experiments.E16ProfileSweep(cfg); return err },
 		"E17": func() error { _, err := experiments.E17LogStore(cfg); return err },
 		"E18": func() error { _, err := experiments.E18Federation(cfg); return err },
 		"E19": func() error { _, err := experiments.E19RateSweep(cfg); return err },
 		"E20": func() error { _, err := experiments.E20SignPool(cfg); return err },
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"}
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18", "E19", "E20"}
 
 	want := strings.ToUpper(*exp)
 	if want == "ALL" {
@@ -157,7 +156,7 @@ func main() {
 	}
 	run, ok := runners[want]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all or E1..E20)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, E1..E14 or E16..E20)\n", *exp)
 		os.Exit(2)
 	}
 	if err := run(); err != nil {

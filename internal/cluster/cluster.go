@@ -405,7 +405,9 @@ func (c *Cluster) Close() error {
 	for _, m := range c.Members() {
 		if c.failStateOf(m) == Condemned {
 			// A condemned member's store is sealed; its final flush can only
-			// fail, and its state has already been adopted elsewhere.
+			// fail, and its state has already been adopted elsewhere. Its
+			// devices still stop, so no service loop outlives the cluster.
+			m.Host.StopDevices()
 			continue
 		}
 		if err := m.Host.Close(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -598,5 +599,78 @@ func TestClusterMovesLeaveNoXenstoreResidue(t *testing.T) {
 	pingPong(t, c, keys, 40)
 	if after := nodes(); after != before {
 		t.Fatalf("xenstore nodes for %d live guests grew from %d to %d across 40 moves", len(keys), before, after)
+	}
+}
+
+// TestCloseStopsEveryDevice runs three set-up/close cycles of a seeded
+// two-member cluster with 16 guests. Close must stop every guest's device,
+// so after each close the process is back to the goroutines it had before
+// the first boot: no device service loop outlives its cluster.
+func TestCloseStopsEveryDevice(t *testing.T) {
+	settle := func(want int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	before := settle(0)
+	for cycle := 0; cycle < 3; cycle++ {
+		c, err := New(Config{Hosts: 2, Mode: xvtpm.ModeImproved, RSABits: 512, Seed: []byte("close-cycle")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			g, err := c.CreateGuest(xvtpm.GuestConfig{
+				Name: fmt.Sprintf("g%d", i), Kernel: []byte(fmt.Sprintf("k%d", i)), Pages: 16,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.TPM.GetRandom(4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("cycle %d: Close: %v", cycle, err)
+		}
+		if n := settle(before); n > before {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("cycle %d: %d goroutines after Close, %d before the first boot\n%s",
+				cycle, n, before, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestCloseStopsCondemnedMemberDevices checks that Close, which skips a
+// condemned member's final flush, still detaches that member's devices.
+func TestCloseStopsCondemnedMemberDevices(t *testing.T) {
+	c, err := New(Config{Hosts: 2, Mode: xvtpm.ModeImproved, RSABits: 512, Seed: []byte("close-condemned")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onH1 []*xvtpm.Guest
+	for i := 0; i < 4; i++ {
+		g, err := c.CreateGuestOn("h1", xvtpm.GuestConfig{
+			Name: fmt.Sprintf("g%d", i), Kernel: []byte(fmt.Sprintf("k%d", i)), Pages: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		onH1 = append(onH1, g)
+	}
+	if err := c.Condemn("h1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := c.Member("h1")
+	for _, g := range onH1 {
+		if m.Host.Backend.Connected(g.Dom.ID()) {
+			t.Fatalf("guest %s still has a device on the condemned member after Close", g.Name)
+		}
 	}
 }

@@ -338,26 +338,6 @@ func RunBenchSuite(cfg Config, names ...string) (*BenchReport, error) {
 		add(pc.name, res, p95)
 	}
 
-	for _, tc := range []struct {
-		name  string
-		depth int
-	}{
-		// The same 8-way concurrent offered load against a lockstep (depth-1)
-		// and a pipelined (depth-8) frontend: the pair demonstrates what ring
-		// batching and the pending table buy in sustained commands/sec.
-		{"GuestLockstepThroughput", 1},
-		{"GuestPipelinedThroughput", 8},
-	} {
-		if !wanted(tc.name) {
-			continue
-		}
-		res, p95, err := guestThroughputBench(cfg, tc.depth)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", tc.name, err)
-		}
-		add(tc.name, res, p95)
-	}
-
 	if wanted("HistogramRecord") {
 		h := metrics.NewHistogram(nil)
 		res := testing.Benchmark(func(b *testing.B) {
@@ -766,63 +746,6 @@ func signPoolBench(cfg Config) (testing.BenchmarkResult, error) {
 	return res, nil
 }
 
-// benchEventLatency is the modelled event-channel delivery cost the
-// throughput benchmarks run under: on real Xen every doorbell is a
-// hypercall plus an upcall into the peer domain — tens of microseconds
-// once scheduling is counted — and amortizing that cost is what ring
-// batching and doorbell suppression exist for. Both depth rows pay the
-// same modelled cost, so the lockstep/pipelined ratio isolates the
-// transport discipline. Latency-oriented benchmarks (GuestGetRandom and
-// friends) keep delivery instantaneous.
-const benchEventLatency = 25 * time.Microsecond
-
-// guestThroughputBench drives one improved-mode guest with 8 concurrent
-// submitters at the given pipeline depth and reports inverse throughput:
-// ns/op is wall time divided by completed commands across all workers.
-func guestThroughputBench(cfg Config, depth int) (testing.BenchmarkResult, float64, error) {
-	h, err := newHost(cfg, xvtpm.ModeImproved, func(hc *xvtpm.HostConfig) {
-		hc.PipelineDepth = depth
-		hc.EventLatency = benchEventLatency
-	})
-	if err != nil {
-		return testing.BenchmarkResult{}, 0, err
-	}
-	g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "bench", Kernel: []byte("bk")})
-	if err == nil {
-		for i := 0; i < 50; i++ {
-			if _, err = g.TPM.GetRandom(16); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		h.Close() //nolint:errcheck // constructor failure path
-		return testing.BenchmarkResult{}, 0, err
-	}
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetParallelism(8)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := g.TPM.GetRandom(16); err != nil {
-					benchErr = err
-					return
-				}
-			}
-		})
-	})
-	p95 := float64(h.Manager.DispatchStats().Total.P95)
-	cerr := h.Close()
-	if benchErr == nil {
-		benchErr = cerr
-	}
-	if benchErr != nil {
-		return testing.BenchmarkResult{}, 0, benchErr
-	}
-	return res, p95, nil
-}
-
 // BenchDelta is one benchmark's baseline-vs-current comparison.
 type BenchDelta struct {
 	Name    string
@@ -838,39 +761,16 @@ type BenchDelta struct {
 	Fail   bool
 	Reason string
 	// Synthetic marks a derived gate row (no measurements of its own), like
-	// the pipelined-vs-lockstep speedup ratio.
+	// the blackout ceiling.
 	Synthetic bool
-}
-
-// Wall-clock throughput rows run with a modelled event-channel latency, so
-// their absolute ns/op is dominated by sleep scheduling — run-to-run noise
-// of 2-3× is normal and an absolute tolerance would flap. What the
-// pipelined transport actually promises is the ratio: depth-8 must sustain
-// at least pipelineSpeedupMin times the lockstep command rate within one
-// run, where both rows share the machine's timer behaviour. CompareBench
-// therefore skips the ns/op tolerance for these rows (allocs are still
-// gated — they are deterministic) and gates the current run's ratio
-// instead.
-const (
-	benchLockstepName   = "GuestLockstepThroughput"
-	benchPipelinedName  = "GuestPipelinedThroughput"
-	pipelineSpeedupMin  = 3.0
-	pipelineSpeedupGate = "GuestPipelineSpeedup"
-	ratioGatedNote      = "ratio-gated (see " + pipelineSpeedupGate + ")"
-)
-
-// ratioGated reports whether a benchmark row is exempt from the absolute
-// ns/op tolerance because it is covered by the speedup-ratio gate.
-func ratioGated(name string) bool {
-	return name == benchLockstepName || name == benchPipelinedName
 }
 
 // The blackout row is a p99 over a few dozen millisecond-scale moves —
 // effectively the max of the sample, and on this class of machine a single
 // GC pause or scheduler stall shifts it 2×. An absolute tolerance against
 // a committed baseline would flap on every noisy run, so CompareBench
-// exempts it (like the throughput rows) and instead gates the current
-// run's value against an absolute ceiling an order of magnitude above the
+// exempts it and instead gates the current run's value against an
+// absolute ceiling an order of magnitude above the
 // quiet-machine measurement (~1-2ms): a regression that fences the whole
 // host, loses the live-session overlap, or adds O(fleet) work to the
 // handoff blows through the ceiling; scheduler noise does not.
@@ -933,14 +833,12 @@ func CompareBench(base, cur *BenchReport, tolerance float64) (deltas []BenchDelt
 			}
 			tol := rowTolerance(b.Name, tolerance)
 			switch {
-			case d.NsRatio > tol && !ratioGated(b.Name) && !ceilingGated(b.Name):
+			case d.NsRatio > tol && !ceilingGated(b.Name):
 				d.Fail = true
 				d.Reason = fmt.Sprintf("ns/op +%.1f%% (tolerance %.0f%%)", d.NsRatio*100, tol*100)
 			case c.AllocsPerOp > b.AllocsPerOp+allocAllowance:
 				d.Fail = true
 				d.Reason = fmt.Sprintf("allocs/op %.1f → %.1f", b.AllocsPerOp, c.AllocsPerOp)
-			case ratioGated(b.Name):
-				d.Reason = ratioGatedNote
 			case ceilingGated(b.Name):
 				d.Reason = ceilingGatedNote
 			}
@@ -963,24 +861,6 @@ func CompareBench(base, cur *BenchReport, tolerance float64) (deltas []BenchDelt
 				Reason: "new benchmark, not in baseline (informational)",
 			})
 		}
-	}
-	// The speedup gate: within the current run, depth-8 pipelining must
-	// sustain at least pipelineSpeedupMin times the lockstep command rate.
-	lock, hasLock := byName[benchLockstepName]
-	pipe, hasPipe := byName[benchPipelinedName]
-	if hasLock && hasPipe && pipe.NsPerOp > 0 {
-		ratio := lock.NsPerOp / pipe.NsPerOp
-		d := BenchDelta{Name: pipelineSpeedupGate, Synthetic: true}
-		if ratio < pipelineSpeedupMin {
-			d.Fail = true
-			d.Reason = fmt.Sprintf("depth-8 sustains only %.2fx the lockstep rate (floor %.1fx)",
-				ratio, pipelineSpeedupMin)
-			ok = false
-		} else {
-			d.Reason = fmt.Sprintf("depth-8 sustains %.2fx the lockstep rate (floor %.1fx)",
-				ratio, pipelineSpeedupMin)
-		}
-		deltas = append(deltas, d)
 	}
 	// The blackout ceiling gate: the current run's per-move blackout p99
 	// must stay under the absolute ceiling, whatever the baseline says.

@@ -86,63 +86,6 @@ func TestCompareBenchAllocGrowthAndMissing(t *testing.T) {
 	}
 }
 
-// TestCompareBenchPipelineRatioGate covers the throughput rows: wall-clock
-// ns/op drift on them is exempt from the absolute tolerance, and the
-// synthetic GuestPipelineSpeedup row enforces the depth-8 vs lockstep ratio
-// within the current run instead.
-func TestCompareBenchPipelineRatioGate(t *testing.T) {
-	base := gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 90000, AllocsPerOp: 7},
-		BenchResult{Name: benchPipelinedName, NsPerOp: 5500, AllocsPerOp: 8},
-	)
-	// 3x slower wall clock on both rows (scheduler noise), but the ratio
-	// between them still clears the floor: the gate must pass.
-	cur := gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 270000, AllocsPerOp: 7},
-		BenchResult{Name: benchPipelinedName, NsPerOp: 16500, AllocsPerOp: 8},
-	)
-	deltas, ok := CompareBench(base, cur, DefaultBenchTolerance)
-	if !ok {
-		t.Fatalf("ratio-gated rows failed on absolute ns/op drift: %+v", deltas)
-	}
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 2 rows + synthetic speedup: %+v", len(deltas), deltas)
-	}
-	syn := deltas[2]
-	if !syn.Synthetic || syn.Name != pipelineSpeedupGate || syn.Fail {
-		t.Fatalf("synthetic speedup row wrong: %+v", syn)
-	}
-	var buf bytes.Buffer
-	RenderBenchDeltas(&buf, deltas)
-	if out := buf.String(); !strings.Contains(out, pipelineSpeedupGate) || !strings.Contains(out, ratioGatedNote) {
-		t.Fatalf("rendered table missing ratio-gate rows:\n%s", out)
-	}
-
-	// Collapse the pipelined advantage below the floor: the synthetic row
-	// alone must fail the gate.
-	cur = gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 90000, AllocsPerOp: 7},
-		BenchResult{Name: benchPipelinedName, NsPerOp: 45000, AllocsPerOp: 8}, // only 2x
-	)
-	deltas, ok = CompareBench(base, cur, DefaultBenchTolerance)
-	if ok {
-		t.Fatalf("2x speedup passed a 3x floor: %+v", deltas)
-	}
-	syn = deltas[len(deltas)-1]
-	if !syn.Synthetic || !syn.Fail || !strings.Contains(syn.Reason, "lockstep rate") {
-		t.Fatalf("speedup failure not on the synthetic row: %+v", deltas)
-	}
-
-	// Alloc growth on a ratio-gated row is still an absolute failure.
-	cur = gateReport(
-		BenchResult{Name: benchLockstepName, NsPerOp: 90000, AllocsPerOp: 7},
-		BenchResult{Name: benchPipelinedName, NsPerOp: 5500, AllocsPerOp: 12},
-	)
-	if deltas, ok = CompareBench(base, cur, DefaultBenchTolerance); ok {
-		t.Fatalf("alloc growth on ratio-gated row passed: %+v", deltas)
-	}
-}
-
 // TestCompareBenchBlackoutCeilingGate covers the blackout row: relative
 // ns/op drift is exempt (a p99 over a few dozen moves is max-like noise),
 // and the synthetic MigrateBlackoutCeiling row fails only when the current

@@ -16,7 +16,7 @@ import (
 
 // E19 — open-loop capacity: offered-load rate sweep over a simulated
 // large-guest fleet multiplexed onto a pool of manager load sessions.
-// Closed-loop experiments (E2/E11/E15/E18) measure what the system *can*
+// Closed-loop experiments (E2/E11/E18) measure what the system *can*
 // do; E19 measures how it degrades when traffic does not politely wait:
 // goodput vs offered load, coordinated-omission-safe p99/p999 through
 // saturation, per-command SLO attainment, and the knee — plus a busy-share

@@ -12,10 +12,7 @@ func TestDequeueFaultTruncatesRequest(t *testing.T) {
 	if _, err := r.EnqueueRequest(want); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := r.DequeueRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, payload := takeRequest(t, r)
 	if !bytes.Equal(payload, want[:len(want)/2]) {
 		t.Fatalf("payload = %q, want truncated %q", payload, want[:len(want)/2])
 	}
@@ -33,17 +30,12 @@ func TestDequeueFaultTruncatesResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.DequeueRequest(); err != nil {
-		t.Fatal(err)
-	}
+	takeRequest(t, r)
 	if err := r.EnqueueResponse(id, []byte("full response")); err != nil {
 		t.Fatal(err)
 	}
 	r.SetDequeueFault(func(p []byte) []byte { return p[:4] })
-	_, payload, err := r.DequeueResponse()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, payload := takeResponse(t, r)
 	if string(payload) != "full" {
 		t.Fatalf("payload = %q, want %q", payload, "full")
 	}
@@ -58,10 +50,7 @@ func TestDequeueFaultPassThroughNotCounted(t *testing.T) {
 	if _, err := r.EnqueueRequest([]byte("intact")); err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := r.DequeueRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, payload := takeRequest(t, r)
 	if string(payload) != "intact" {
 		t.Fatalf("payload = %q", payload)
 	}

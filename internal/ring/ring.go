@@ -9,9 +9,12 @@
 //
 // The layout mirrors the single-ring in-place scheme used by Xen's TPM
 // front/backend: a request is written into slot (reqProd mod numSlots) and the
-// backend later overwrites the same slot with the response. Producer indices
-// are stored in the shared header; consumer indices are private to each end,
-// as in the real protocol.
+// backend later overwrites the same slot with the response. Each end keeps
+// its indices private and publishes only its producer index in the shared
+// header, as in the real protocol. One call per role and direction moves one
+// frame: the frontend enqueues requests and dequeues responses, the backend
+// dequeues requests and enqueues responses. A consumer checks the peer's
+// published producer index before trusting it (ErrBadProducer).
 package ring
 
 import (
@@ -56,6 +59,11 @@ var (
 	ErrUnknownID   = errors.New("ring: response id does not match pending request")
 	ErrBadRegion   = errors.New("ring: region too small for requested geometry")
 	ErrBadGeometry = errors.New("ring: slot count must be a power of two")
+	// ErrBadProducer reports a producer index, read from the shared header,
+	// that no honest peer could have written: more frames than the ring
+	// holds, or responses to requests this end never published. Like Xen's
+	// RING_REQUEST_PROD_OVERFLOW, it means the peer is broken or hostile.
+	ErrBadProducer = errors.New("ring: impossible producer index")
 )
 
 // Ring is one shared request/response ring connecting a frontend (guest) and a
@@ -64,25 +72,21 @@ var (
 type Ring struct {
 	mu       sync.Mutex
 	notFull  sync.Cond // frontend waits here for a free slot
-	haveReq  sync.Cond // backend waits here for a request
-	haveRsp  sync.Cond // frontend waits here for a response
 	region   []byte
 	bus      *xen.MemBus // memory bus of the domain owning the region
 	numSlots uint32
 	slotSize uint32
 
-	// Private consumer indices (not in shared memory, per the Xen protocol).
-	reqCons uint32
-	rspCons uint32
+	// Private indices (not in shared memory, per the Xen protocol). Each end
+	// keeps its own producer index and publishes a copy in the header, so
+	// the peer can rewrite the published copy but never the one in use.
+	reqPvt  uint32 // frontend: requests published
+	rspCons uint32 // frontend: responses consumed
+	reqCons uint32 // backend: requests consumed
+	rspPvt  uint32 // backend: responses published
 
 	nextID uint64
 	closed bool
-
-	// onRequest and onResponse, when non-nil, are invoked (outside the ring
-	// lock) after a request or response is published. Drivers use them to
-	// send event-channel notifications.
-	onRequest  func()
-	onResponse func()
 
 	// dequeueFault, when non-nil, rewrites every dequeued payload before it
 	// reaches the consumer — fault injection for torn/truncated frames. It
@@ -90,53 +94,6 @@ type Ring struct {
 	// unchanged is a no-op; returning a prefix models a truncated frame.
 	dequeueFault func(payload []byte) []byte
 	faulted      uint64
-
-	// Traffic counters (under mu, so counting costs nothing beyond the lock
-	// every operation already holds). fullWaits counts EnqueueRequest calls
-	// that found the ring full and had to block — the backpressure signal
-	// /metrics exports per device. batchDrains/batchFrames size the mean
-	// request batch a backend drain pulls per wakeup.
-	requests    uint64
-	responses   uint64
-	fullWaits   uint64
-	batchDrains uint64
-	batchFrames uint64
-}
-
-// Stats is a point-in-time traffic digest of one ring.
-type Stats struct {
-	// Requests and Responses count frames ever published in each direction.
-	Requests  uint64
-	Responses uint64
-	// FullWaits counts EnqueueRequest calls that blocked on a full ring.
-	FullWaits uint64
-	// Faulted counts dequeued payloads rewritten by the fault-injection hook.
-	Faulted uint64
-	// BatchDrains counts non-empty DequeueRequestBatchInto drains and
-	// BatchFrames the frames they carried, so BatchFrames/BatchDrains is the
-	// mean request batch size per backend wakeup.
-	BatchDrains uint64
-	BatchFrames uint64
-	// PendingRequests and PendingResponses are published-but-unconsumed
-	// frames right now.
-	PendingRequests  int
-	PendingResponses int
-}
-
-// Stats snapshots the ring's traffic counters.
-func (r *Ring) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Stats{
-		Requests:         r.requests,
-		Responses:        r.responses,
-		FullWaits:        r.fullWaits,
-		Faulted:          r.faulted,
-		BatchDrains:      r.batchDrains,
-		BatchFrames:      r.batchFrames,
-		PendingRequests:  int(r.reqProd() - r.reqCons),
-		PendingResponses: int(r.rspProd() - r.rspCons),
-	}
 }
 
 // SetDequeueFault installs (or, with nil, removes) a payload-rewrite hook
@@ -208,15 +165,13 @@ func Init(region []byte, g Geometry, bus *xen.MemBus) (*Ring, error) {
 	}
 	binary.LittleEndian.PutUint32(region[offNumSlots:], g.NumSlots)
 	binary.LittleEndian.PutUint32(region[offSlotSize:], g.SlotSize)
-	// Both ends start out wanting doorbells; consumers that run the batched
-	// drain loop clear their flag while draining to coalesce notifies.
+	// Both ends start out wanting doorbells; a consumer clears its flag
+	// while it is awake and draining, so producers skip their notifies.
 	region[offReqNotify] = 1
 	region[offRspNotify] = 1
 	bus.EndWrite()
 	r := &Ring{region: region, bus: bus, numSlots: g.NumSlots, slotSize: g.SlotSize}
 	r.notFull.L = &r.mu
-	r.haveReq.L = &r.mu
-	r.haveRsp.L = &r.mu
 	registryMu.Lock()
 	registry[&region[0]] = r
 	registryMu.Unlock()
@@ -239,12 +194,6 @@ func Attach(region []byte) (*Ring, error) {
 	return r, nil
 }
 
-// OnRequest registers a callback fired after each request is published.
-func (r *Ring) OnRequest(fn func()) { r.mu.Lock(); r.onRequest = fn; r.mu.Unlock() }
-
-// OnResponse registers a callback fired after each response is published.
-func (r *Ring) OnResponse(fn func()) { r.mu.Lock(); r.onResponse = fn; r.mu.Unlock() }
-
 // Close shuts the ring down. Blocked and future operations fail with ErrClosed.
 func (r *Ring) Close() {
 	registryMu.Lock()
@@ -254,8 +203,6 @@ func (r *Ring) Close() {
 	r.closed = true
 	r.mu.Unlock()
 	r.notFull.Broadcast()
-	r.haveReq.Broadcast()
-	r.haveRsp.Broadcast()
 }
 
 // Closed reports whether Close has been called.
@@ -299,10 +246,6 @@ func writeSlot(s []byte, status byte, id uint64, payload []byte) {
 	}
 }
 
-func readSlot(s []byte) (status byte, id uint64, payload []byte) {
-	return readSlotInto(s, nil)
-}
-
 // slotHeader reads a slot's status and id without copying the payload — the
 // response-enqueue id check uses it so matching a response to its request
 // slot costs no allocation.
@@ -322,8 +265,8 @@ func zeroizeSlot(s []byte) {
 	clear(s[:end])
 }
 
-// readSlotInto is readSlot appending the payload to buf instead of
-// allocating a fresh slice — the backend service loop's pop path.
+// readSlotInto reads a slot's status and id and appends its payload to buf.
+// The length field lives in shared memory, so it is clamped to the slot.
 func readSlotInto(s, buf []byte) (status byte, id uint64, payload []byte) {
 	status = s[0]
 	id = binary.LittleEndian.Uint64(s[4:])
@@ -336,75 +279,51 @@ func readSlotInto(s, buf []byte) (status byte, id uint64, payload []byte) {
 }
 
 // EnqueueRequest publishes a request on the ring, blocking while the ring is
-// full. It returns the request ID the response will carry.
+// full. It returns the request ID the response will carry. The frontend
+// calls this.
 func (r *Ring) EnqueueRequest(payload []byte) (uint64, error) {
 	if uint32(len(payload)) > r.slotSize {
 		return 0, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), r.slotSize)
 	}
 	r.mu.Lock()
-	if !r.closed && r.reqProd()-r.rspCons >= r.numSlots {
-		r.fullWaits++
-		for !r.closed && r.reqProd()-r.rspCons >= r.numSlots {
-			r.notFull.Wait()
-		}
+	defer r.mu.Unlock()
+	for !r.closed && r.reqPvt-r.rspCons >= r.numSlots {
+		r.notFull.Wait()
 	}
 	if r.closed {
-		r.mu.Unlock()
 		return 0, ErrClosed
 	}
-	r.requests++
 	r.nextID++
 	id := r.nextID
-	prod := r.reqProd()
 	r.bus.BeginWrite()
-	writeSlot(r.slot(prod), slotRequest, id, payload)
-	r.setReqProd(prod + 1)
+	writeSlot(r.slot(r.reqPvt), slotRequest, id, payload)
+	r.reqPvt++
+	r.setReqProd(r.reqPvt)
 	r.bus.EndWrite()
-	cb := r.onRequest
-	r.mu.Unlock()
-	r.haveReq.Signal()
-	if cb != nil {
-		cb()
-	}
 	return id, nil
 }
 
-// DequeueRequest removes the oldest unprocessed request, blocking until one is
-// available. The backend calls this.
-func (r *Ring) DequeueRequest() (uint64, []byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for !r.closed && r.reqCons == r.reqProd() {
-		r.haveReq.Wait()
-	}
-	if r.closed {
-		return 0, nil, ErrClosed
-	}
-	status, id, payload := readSlot(r.slot(r.reqCons))
-	if status != slotRequest {
-		return 0, nil, fmt.Errorf("ring: slot %d has status %d, want request", r.reqCons, status)
-	}
-	r.reqCons++
-	return id, r.applyDequeueFault(payload), nil
-}
-
-// TryDequeueRequest is the non-blocking variant of DequeueRequest; ok is false
-// when no request is pending.
-func (r *Ring) TryDequeueRequest() (id uint64, payload []byte, ok bool, err error) {
-	return r.TryDequeueRequestInto(nil)
-}
-
-// TryDequeueRequestInto is TryDequeueRequest with the payload appended to buf
-// — typically buf[:0] of a scratch slice the caller reuses across pops, so a
-// steady service loop dequeues without allocating. The returned payload
-// aliases buf's array when capacity sufficed.
+// TryDequeueRequestInto removes the oldest unconsumed request, appending its
+// payload to buf — typically buf[:0] of a scratch slice the caller reuses
+// across pops, so a steady service loop dequeues without allocating. The
+// returned payload aliases buf's array when capacity sufficed. ok is false
+// when no request is pending. The backend calls this.
+//
+// The request producer index comes from shared memory the guest can write,
+// so it is checked before it is used: at most NumSlots requests can await a
+// response, and the index never runs behind what was already consumed.
 func (r *Ring) TryDequeueRequestInto(buf []byte) (id uint64, payload []byte, ok bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return 0, nil, false, ErrClosed
 	}
-	if r.reqCons == r.reqProd() {
+	prod := r.reqProd()
+	if inFlight := prod - r.rspPvt; inFlight > r.numSlots || inFlight < r.reqCons-r.rspPvt {
+		return 0, nil, false, fmt.Errorf("%w: request producer %d, consumer %d, %d slots",
+			ErrBadProducer, prod, r.reqCons, r.numSlots)
+	}
+	if r.reqCons == prod {
 		return 0, nil, false, nil
 	}
 	status, id, payload := readSlotInto(r.slot(r.reqCons), buf)
@@ -415,22 +334,51 @@ func (r *Ring) TryDequeueRequestInto(buf []byte) (id uint64, payload []byte, ok 
 	return id, r.applyDequeueFault(payload), true, nil
 }
 
-// TryDequeueResponse is the non-blocking variant of DequeueResponse; ok is
-// false when no response is pending.
-func (r *Ring) TryDequeueResponse() (id uint64, payload []byte, ok bool, err error) {
-	return r.TryDequeueResponseInto(nil)
+// EnqueueResponse publishes the response for request id, overwriting the slot
+// the request occupied. Responses must be produced in request order, which the
+// serial TPM command model guarantees. The backend calls this.
+func (r *Ring) EnqueueResponse(id uint64, payload []byte) error {
+	if uint32(len(payload)) > r.slotSize {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), r.slotSize)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return ErrClosed
+	}
+	if r.rspPvt == r.reqCons {
+		return ErrOutOfOrder
+	}
+	s := r.slot(r.rspPvt)
+	if _, slotID := slotHeader(s); slotID != id {
+		return fmt.Errorf("%w: slot holds %d, got %d", ErrUnknownID, slotID, id)
+	}
+	r.bus.BeginWrite()
+	writeSlot(s, slotResponse, id, payload)
+	r.rspPvt++
+	r.setRspProd(r.rspPvt)
+	r.bus.EndWrite()
+	return nil
 }
 
-// TryDequeueResponseInto is TryDequeueResponse with the payload appended to
-// buf — typically buf[:0] of a scratch slice the frontend reuses across pops,
-// mirroring TryDequeueRequestInto on the backend side.
+// TryDequeueResponseInto removes the oldest unconsumed response, appending
+// its payload to buf, and zeroizes the slot it occupied. ok is false when no
+// response is pending. The frontend calls this.
+//
+// The response producer index comes from shared memory dom0 can write; a
+// response to a request this end never published is refused.
 func (r *Ring) TryDequeueResponseInto(buf []byte) (id uint64, payload []byte, ok bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return 0, nil, false, ErrClosed
 	}
-	if r.rspCons == r.rspProd() {
+	prod := r.rspProd()
+	if prod-r.rspCons > r.reqPvt-r.rspCons {
+		return 0, nil, false, fmt.Errorf("%w: response producer %d, consumer %d, %d requests published",
+			ErrBadProducer, prod, r.rspCons, r.reqPvt)
+	}
+	if r.rspCons == prod {
 		return 0, nil, false, nil
 	}
 	s := r.slot(r.rspCons)
@@ -438,86 +386,14 @@ func (r *Ring) TryDequeueResponseInto(buf []byte) (id uint64, payload []byte, ok
 	if status != slotResponse {
 		return 0, nil, false, fmt.Errorf("ring: slot %d has status %d, want response", r.rspCons, status)
 	}
-	r.bus.BeginWrite()
-	zeroizeSlot(s)
-	r.bus.EndWrite()
-	r.rspCons++
-	r.notFull.Signal()
-	return id, r.applyDequeueFault(payload), true, nil
-}
-
-// EnqueueResponse publishes the response for request id, overwriting the slot
-// the request occupied. Responses must be produced in request order, which the
-// serial TPM command model guarantees.
-func (r *Ring) EnqueueResponse(id uint64, payload []byte) error {
-	if uint32(len(payload)) > r.slotSize {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), r.slotSize)
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	prod := r.rspProd()
-	if prod >= r.reqCons {
-		r.mu.Unlock()
-		return ErrOutOfOrder
-	}
-	s := r.slot(prod)
-	_, slotID := slotHeader(s)
-	if slotID != id {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: slot holds %d, got %d", ErrUnknownID, slotID, id)
-	}
-	r.bus.BeginWrite()
-	writeSlot(s, slotResponse, id, payload)
-	r.setRspProd(prod + 1)
-	r.bus.EndWrite()
-	r.responses++
-	cb := r.onResponse
-	r.mu.Unlock()
-	r.haveRsp.Signal()
-	if cb != nil {
-		cb()
-	}
-	return nil
-}
-
-// DequeueResponse removes the oldest unconsumed response, blocking until one
-// is available. The frontend calls this.
-func (r *Ring) DequeueResponse() (uint64, []byte, error) {
-	r.mu.Lock()
-	for !r.closed && r.rspCons == r.rspProd() {
-		r.haveRsp.Wait()
-	}
-	if r.closed {
-		r.mu.Unlock()
-		return 0, nil, ErrClosed
-	}
-	s := r.slot(r.rspCons)
-	status, id, payload := readSlot(s)
-	if status != slotResponse {
-		r.mu.Unlock()
-		return 0, nil, fmt.Errorf("ring: slot %d has status %d, want response", r.rspCons, status)
-	}
 	// Free the slot: zeroize so completed exchanges do not linger in shared
 	// memory for a dump to harvest.
 	r.bus.BeginWrite()
 	zeroizeSlot(s)
 	r.bus.EndWrite()
 	r.rspCons++
-	payload = r.applyDequeueFault(payload)
-	r.mu.Unlock()
 	r.notFull.Signal()
-	return id, payload, nil
-}
-
-// Pending returns the number of published-but-unconsumed requests and
-// responses. It exists for tests and metrics.
-func (r *Ring) Pending() (requests, responses int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int(r.reqProd() - r.reqCons), int(r.rspProd() - r.rspCons)
+	return id, r.applyDequeueFault(payload), true, nil
 }
 
 // Geometry reports the ring's slot layout.
@@ -545,8 +421,8 @@ func (r *Ring) notifyFlag(off int) bool {
 }
 
 // SetRequestNotify publishes whether the backend wants a doorbell for newly
-// enqueued requests. A batched backend clears it on entry to its drain loop
-// and re-sets it just before sleeping, then re-checks the ring once more (the
+// enqueued requests. The backend keeps it cleared while awake and raises it
+// just before sleeping, then re-checks the ring once more (the
 // RING_FINAL_CHECK pattern) so a request published in the gap is never lost.
 func (r *Ring) SetRequestNotify(on bool) { r.setNotifyFlag(offReqNotify, on) }
 

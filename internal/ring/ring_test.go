@@ -2,12 +2,13 @@ package ring
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func newTestRing(t *testing.T, g Geometry) *Ring {
@@ -18,6 +19,28 @@ func newTestRing(t *testing.T, g Geometry) *Ring {
 		t.Fatalf("Init: %v", err)
 	}
 	return r
+}
+
+// takeRequest is the backend's pop: it fails the test unless a request is
+// pending.
+func takeRequest(t testing.TB, r *Ring) (uint64, []byte) {
+	t.Helper()
+	id, p, ok, err := r.TryDequeueRequestInto(nil)
+	if err != nil || !ok {
+		t.Fatalf("TryDequeueRequestInto = (%v, %v), want a request", ok, err)
+	}
+	return id, p
+}
+
+// takeResponse is the frontend's pop: it fails the test unless a response
+// is pending.
+func takeResponse(t testing.TB, r *Ring) (uint64, []byte) {
+	t.Helper()
+	id, p, ok, err := r.TryDequeueResponseInto(nil)
+	if err != nil || !ok {
+		t.Fatalf("TryDequeueResponseInto = (%v, %v), want a response", ok, err)
+	}
+	return id, p
 }
 
 func TestInitRejectsBadGeometry(t *testing.T) {
@@ -46,22 +69,51 @@ func TestRoundTripSingle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EnqueueRequest: %v", err)
 	}
-	gotID, payload, err := r.DequeueRequest()
-	if err != nil {
-		t.Fatalf("DequeueRequest: %v", err)
-	}
+	gotID, payload := takeRequest(t, r)
 	if gotID != id || string(payload) != "hello tpm" {
 		t.Fatalf("got (%d, %q), want (%d, %q)", gotID, payload, id, "hello tpm")
 	}
 	if err := r.EnqueueResponse(id, []byte("resp")); err != nil {
 		t.Fatalf("EnqueueResponse: %v", err)
 	}
-	rid, rp, err := r.DequeueResponse()
-	if err != nil {
-		t.Fatalf("DequeueResponse: %v", err)
-	}
+	rid, rp := takeResponse(t, r)
 	if rid != id || string(rp) != "resp" {
 		t.Fatalf("got (%d, %q), want (%d, %q)", rid, rp, id, "resp")
+	}
+}
+
+// TestBatchRoundTrip keeps a batch of requests in flight at once: all are
+// published before the backend takes any, and requests and responses come
+// back in publication order with their ids.
+func TestBatchRoundTrip(t *testing.T) {
+	r := newTestRing(t, Geometry{NumSlots: 8, SlotSize: 256})
+	payloads := [][]byte{[]byte("alpha"), []byte("bb"), []byte("gamma-long-payload"), []byte("d")}
+	var ids []uint64
+	for _, p := range payloads {
+		id, err := r.EnqueueRequest(p)
+		if err != nil {
+			t.Fatalf("EnqueueRequest: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	for i := range payloads {
+		id, p := takeRequest(t, r)
+		if id != ids[i] || !bytes.Equal(p, payloads[i]) {
+			t.Fatalf("request %d = (%d, %q), want (%d, %q)", i, id, p, ids[i], payloads[i])
+		}
+		if err := r.EnqueueResponse(id, append([]byte("re:"), p...)); err != nil {
+			t.Fatalf("EnqueueResponse: %v", err)
+		}
+	}
+	if _, _, ok, err := r.TryDequeueRequestInto(nil); ok || err != nil {
+		t.Fatalf("drained ring: ok=%v err=%v", ok, err)
+	}
+	for i := range payloads {
+		id, p := takeResponse(t, r)
+		want := append([]byte("re:"), payloads[i]...)
+		if id != ids[i] || !bytes.Equal(p, want) {
+			t.Fatalf("response %d = (%d, %q), want (%d, %q)", i, id, p, ids[i], want)
+		}
 	}
 }
 
@@ -75,6 +127,25 @@ func TestPayloadTooLarge(t *testing.T) {
 	}
 }
 
+// TestBatchRejectsOversizedFrame refuses an oversized frame in the middle of
+// a batch without disturbing the frames published before it.
+func TestBatchRejectsOversizedFrame(t *testing.T) {
+	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 16})
+	id, err := r.EnqueueRequest([]byte("ok"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.EnqueueRequest(make([]byte, 17)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	if gid, p := takeRequest(t, r); gid != id || string(p) != "ok" {
+		t.Fatalf("got (%d, %q), want (%d, %q)", gid, p, id, "ok")
+	}
+	if _, _, ok, err := r.TryDequeueRequestInto(nil); ok || err != nil {
+		t.Fatalf("oversized frame reached the ring: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestResponseWithoutRequestFails(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
 	if err := r.EnqueueResponse(1, []byte("x")); !errors.Is(err, ErrOutOfOrder) {
@@ -85,11 +156,25 @@ func TestResponseWithoutRequestFails(t *testing.T) {
 func TestResponseWrongIDFails(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
 	id, _ := r.EnqueueRequest([]byte("a"))
-	if _, _, err := r.DequeueRequest(); err != nil {
-		t.Fatal(err)
-	}
+	takeRequest(t, r)
 	if err := r.EnqueueResponse(id+7, []byte("x")); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("err = %v, want ErrUnknownID", err)
+	}
+}
+
+// TestBatchResponseIDMismatch keeps two requests in flight: responses must
+// land in request order, so answering the second id first is refused.
+func TestBatchResponseIDMismatch(t *testing.T) {
+	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 64})
+	first, _ := r.EnqueueRequest([]byte("x"))
+	second, _ := r.EnqueueRequest([]byte("y"))
+	takeRequest(t, r)
+	takeRequest(t, r)
+	if err := r.EnqueueResponse(second, []byte("r1")); !errors.Is(err, ErrUnknownID) {
+		t.Fatalf("err = %v, want ErrUnknownID", err)
+	}
+	if err := r.EnqueueResponse(first, []byte("r0")); err != nil {
+		t.Fatalf("in-order response refused: %v", err)
 	}
 }
 
@@ -106,34 +191,68 @@ func TestBlockingWhenFullThenDrain(t *testing.T) {
 		done <- err
 	}()
 	// Drain one full exchange to free a slot.
-	id, _, err := r.DequeueRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
+	id, _ := takeRequest(t, r)
 	if err := r.EnqueueResponse(id, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.DequeueResponse(); err != nil {
-		t.Fatal(err)
-	}
+	takeResponse(t, r)
 	if err := <-done; err != nil {
 		t.Fatalf("blocked enqueue returned %v", err)
 	}
 }
 
+// TestBatchFillsWholeRing publishes as many requests as the ring has slots,
+// answers them all, and drains every response.
+func TestBatchFillsWholeRing(t *testing.T) {
+	g := Geometry{NumSlots: 8, SlotSize: 32}
+	r := newTestRing(t, g)
+	for i := 0; i < int(g.NumSlots); i++ {
+		if _, err := r.EnqueueRequest([]byte(fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < int(g.NumSlots); i++ {
+		id, p := takeRequest(t, r)
+		if err := r.EnqueueResponse(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < int(g.NumSlots); i++ {
+		if _, p := takeResponse(t, r); string(p) != fmt.Sprintf("p%d", i) {
+			t.Fatalf("response %d = %q", i, p)
+		}
+	}
+	if _, _, ok, err := r.TryDequeueResponseInto(nil); ok || err != nil {
+		t.Fatalf("drained ring: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestCloseUnblocksWaiters closes a ring under an enqueue blocked on a full
+// ring: the waiter and every later call see ErrClosed.
 func TestCloseUnblocksWaiters(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	errs := make(chan error, 2)
-	go func() { _, _, err := r.DequeueRequest(); errs <- err }()
-	go func() { _, _, err := r.DequeueResponse(); errs <- err }()
-	r.Close()
 	for i := 0; i < 2; i++ {
-		if err := <-errs; !errors.Is(err, ErrClosed) {
-			t.Fatalf("waiter err = %v, want ErrClosed", err)
+		if _, err := r.EnqueueRequest([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	errs := make(chan error, 1)
+	go func() { _, err := r.EnqueueRequest([]byte("blocked")); errs <- err }()
+	r.Close()
+	if err := <-errs; !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiter err = %v, want ErrClosed", err)
 	}
 	if _, err := r.EnqueueRequest([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close enqueue err = %v, want ErrClosed", err)
+	}
+	if _, _, _, err := r.TryDequeueRequestInto(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close request dequeue err = %v, want ErrClosed", err)
+	}
+	if err := r.EnqueueResponse(1, []byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close response enqueue err = %v, want ErrClosed", err)
+	}
+	if _, _, _, err := r.TryDequeueResponseInto(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close response dequeue err = %v, want ErrClosed", err)
 	}
 	if !r.Closed() {
 		t.Fatal("Closed() = false after Close")
@@ -142,27 +261,39 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 
 func TestTryDequeueRequest(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	if _, _, ok, err := r.TryDequeueRequest(); ok || err != nil {
+	if _, _, ok, err := r.TryDequeueRequestInto(nil); ok || err != nil {
 		t.Fatalf("empty ring: ok=%v err=%v", ok, err)
 	}
 	id, _ := r.EnqueueRequest([]byte("q"))
-	gid, p, ok, err := r.TryDequeueRequest()
+	scratch := make([]byte, 0, 32)
+	gid, p, ok, err := r.TryDequeueRequestInto(scratch)
 	if err != nil || !ok || gid != id || string(p) != "q" {
 		t.Fatalf("got (%d,%q,%v,%v)", gid, p, ok, err)
 	}
+	if &p[0] != &scratch[:1][0] {
+		t.Fatal("payload not appended into the caller's buffer")
+	}
 }
 
-func TestNotifyCallbacks(t *testing.T) {
-	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 32})
-	var reqN, rspN int
-	r.OnRequest(func() { reqN++ })
-	r.OnResponse(func() { rspN++ })
-	id, _ := r.EnqueueRequest([]byte("a"))
-	r.DequeueRequest()
-	r.EnqueueResponse(id, []byte("b"))
-	r.DequeueResponse()
-	if reqN != 1 || rspN != 1 {
-		t.Fatalf("callbacks fired req=%d rsp=%d, want 1 and 1", reqN, rspN)
+// TestTryDequeueResponseAndPending checks a response is pending for the
+// frontend only once the backend has answered: not on an empty ring, not
+// while the request alone is in flight.
+func TestTryDequeueResponseAndPending(t *testing.T) {
+	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 32})
+	if _, _, ok, err := r.TryDequeueResponseInto(nil); ok || err != nil {
+		t.Fatalf("empty: ok=%v err=%v", ok, err)
+	}
+	id, _ := r.EnqueueRequest([]byte("q"))
+	if _, _, ok, err := r.TryDequeueResponseInto(nil); ok || err != nil {
+		t.Fatalf("request only: ok=%v err=%v", ok, err)
+	}
+	takeRequest(t, r)
+	if err := r.EnqueueResponse(id, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	gid, p, ok, err := r.TryDequeueResponseInto(nil)
+	if err != nil || !ok || gid != id || string(p) != "a" {
+		t.Fatalf("got (%d,%q,%v,%v)", gid, p, ok, err)
 	}
 }
 
@@ -174,14 +305,61 @@ func TestSlotZeroizedAfterResponseConsumed(t *testing.T) {
 	if !bytes.Contains(region, secret) {
 		t.Fatal("request bytes should be visible in shared memory while in flight")
 	}
-	r.DequeueRequest()
+	takeRequest(t, r)
 	r.EnqueueResponse(id, []byte("fine"))
-	r.DequeueResponse()
+	takeResponse(t, r)
 	if bytes.Contains(region, secret) {
 		t.Fatal("request bytes still present in shared memory after exchange completed")
 	}
 	if bytes.Contains(region, []byte("fine")) {
 		t.Fatal("response bytes still present in shared memory after exchange completed")
+	}
+}
+
+// TestBatchZeroizesDrainedResponseSlots answers a batch of requests and
+// checks no response survives in shared memory once all are drained.
+func TestBatchZeroizesDrainedResponseSlots(t *testing.T) {
+	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 64})
+	secrets := [][]byte{[]byte("super-secret-response-0"), []byte("super-secret-response-1")}
+	for range secrets {
+		if _, err := r.EnqueueRequest([]byte("q")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range secrets {
+		id, _ := takeRequest(t, r)
+		if err := r.EnqueueResponse(id, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range secrets {
+		takeResponse(t, r)
+	}
+	for _, s := range secrets {
+		if bytes.Contains(r.region, s) {
+			t.Fatalf("drained response %q still present in shared memory", s)
+		}
+	}
+}
+
+func TestNotifyFlagsDefaultOnAndToggle(t *testing.T) {
+	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 64})
+	// A fresh ring wants doorbells in both directions: a peer that never
+	// touches the flags gets a notify for every frame.
+	if !r.RequestNotifyWanted() || !r.ResponseNotifyWanted() {
+		t.Fatal("fresh ring must want notifies in both directions")
+	}
+	r.SetRequestNotify(false)
+	if r.RequestNotifyWanted() {
+		t.Fatal("request notify still wanted after clear")
+	}
+	if !r.ResponseNotifyWanted() {
+		t.Fatal("clearing request notify must not touch the response flag")
+	}
+	r.SetRequestNotify(true)
+	r.SetResponseNotify(false)
+	if !r.RequestNotifyWanted() || r.ResponseNotifyWanted() {
+		t.Fatal("flags did not toggle independently")
 	}
 }
 
@@ -193,20 +371,127 @@ func TestManyExchangesWrapIndices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gid, p, err := r.DequeueRequest()
-		if err != nil || gid != id || !bytes.Equal(p, want) {
-			t.Fatalf("i=%d: (%d,%q,%v)", i, gid, p, err)
+		gid, p := takeRequest(t, r)
+		if gid != id || !bytes.Equal(p, want) {
+			t.Fatalf("i=%d: (%d,%q)", i, gid, p)
 		}
 		if err := r.EnqueueResponse(id, p); err != nil {
 			t.Fatal(err)
 		}
-		rid, rp, err := r.DequeueResponse()
-		if err != nil || rid != id || !bytes.Equal(rp, want) {
-			t.Fatalf("i=%d: response (%d,%q,%v)", i, rid, rp, err)
+		rid, rp := takeResponse(t, r)
+		if rid != id || !bytes.Equal(rp, want) {
+			t.Fatalf("i=%d: response (%d,%q)", i, rid, rp)
 		}
 	}
 }
 
+// TestProducerIndicesWrapAt32Bits starts both ends just below the 32-bit
+// wrap of the shared producer indices and keeps a full ring of frames in
+// flight across it: the overflow checks must do their arithmetic modulo
+// 2^32, like Xen's.
+func TestProducerIndicesWrapAt32Bits(t *testing.T) {
+	g := Geometry{NumSlots: 4, SlotSize: 16}
+	r := newTestRing(t, g)
+	const start = ^uint32(0) - 5
+	r.reqPvt, r.rspCons, r.reqCons, r.rspPvt = start, start, start, start
+	r.setReqProd(start)
+	r.setRspProd(start)
+	for i := 0; i < 5; i++ {
+		var ids []uint64
+		for j := 0; j < int(g.NumSlots); j++ {
+			id, err := r.EnqueueRequest([]byte{byte(i), byte(j)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for range ids {
+			id, p := takeRequest(t, r)
+			if err := r.EnqueueResponse(id, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, want := range ids {
+			if id, _ := takeResponse(t, r); id != want {
+				t.Fatalf("round %d: response id %d, want %d", i, id, want)
+			}
+		}
+	}
+}
+
+// TestRequestProducerOverflowRefused plays a guest that marks every slot as
+// a request and then publishes request producer indices no honest frontend
+// could: far more requests than the ring holds, and an index behind what
+// the backend already consumed. The backend must refuse both rather than
+// read that many frames.
+func TestRequestProducerOverflowRefused(t *testing.T) {
+	g := Geometry{NumSlots: 8, SlotSize: 64}
+	r := newTestRing(t, g)
+	for i := uint32(0); i < g.NumSlots; i++ {
+		r.slot(i)[0] = slotRequest
+	}
+	r.setReqProd(100000)
+	if _, _, ok, err := r.TryDequeueRequestInto(nil); !errors.Is(err, ErrBadProducer) || ok {
+		t.Fatalf("reqProd 100000 on an empty 8-slot ring: ok=%v err=%v, want ErrBadProducer", ok, err)
+	}
+	// One past the ring is refused too; exactly a full ring is not.
+	r.setReqProd(g.NumSlots + 1)
+	if _, _, _, err := r.TryDequeueRequestInto(nil); !errors.Is(err, ErrBadProducer) {
+		t.Fatalf("reqProd one past the ring: err = %v, want ErrBadProducer", err)
+	}
+	r.setReqProd(g.NumSlots)
+	for i := uint32(0); i < g.NumSlots; i++ {
+		if _, _, ok, err := r.TryDequeueRequestInto(nil); !ok || err != nil {
+			t.Fatalf("full ring, frame %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	// Running the index backwards, behind the backend's own consumer, is
+	// as impossible as running it ahead.
+	r.setReqProd(2)
+	if _, _, _, err := r.TryDequeueRequestInto(nil); !errors.Is(err, ErrBadProducer) {
+		t.Fatalf("reqProd behind the consumer: err = %v, want ErrBadProducer", err)
+	}
+}
+
+// TestResponseProducerOverflowRefused plays a dom0 that publishes responses
+// to requests the frontend never sent: with none in flight, and one past
+// the single request in flight.
+func TestResponseProducerOverflowRefused(t *testing.T) {
+	g := Geometry{NumSlots: 8, SlotSize: 64}
+	r := newTestRing(t, g)
+	for i := uint32(0); i < g.NumSlots; i++ {
+		r.slot(i)[0] = slotResponse
+	}
+	r.setRspProd(1000)
+	if _, _, ok, err := r.TryDequeueResponseInto(nil); !errors.Is(err, ErrBadProducer) || ok {
+		t.Fatalf("rspProd 1000 with no request published: ok=%v err=%v, want ErrBadProducer", ok, err)
+	}
+	r.setRspProd(1)
+	if _, _, _, err := r.TryDequeueResponseInto(nil); !errors.Is(err, ErrBadProducer) {
+		t.Fatalf("one response for zero requests: err = %v, want ErrBadProducer", err)
+	}
+	r.setRspProd(0)
+	id, err := r.EnqueueRequest([]byte("q"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	takeRequest(t, r)
+	if err := r.EnqueueResponse(id, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	r.setRspProd(2)
+	if _, _, _, err := r.TryDequeueResponseInto(nil); !errors.Is(err, ErrBadProducer) {
+		t.Fatalf("two responses for one request: err = %v, want ErrBadProducer", err)
+	}
+	r.setRspProd(1)
+	if gid, p := takeResponse(t, r); gid != id || string(p) != "a" {
+		t.Fatalf("honest response after the refusal = (%d, %q)", gid, p)
+	}
+}
+
+// TestConcurrentFrontBack runs an echoing backend and a response consumer
+// on their own goroutines, each polling its single-frame call, against a
+// producer publishing as fast as the ring admits.
 func TestConcurrentFrontBack(t *testing.T) {
 	r := newTestRing(t, Geometry{NumSlots: 8, SlotSize: 32})
 	const n = 500
@@ -215,29 +500,39 @@ func TestConcurrentFrontBack(t *testing.T) {
 	// Backend: echo every request.
 	go func() {
 		defer wg.Done()
-		for i := 0; i < n; i++ {
-			id, p, err := r.DequeueRequest()
+		for i := 0; i < n; {
+			id, p, ok, err := r.TryDequeueRequestInto(nil)
 			if err != nil {
 				t.Errorf("backend: %v", err)
 				return
+			}
+			if !ok {
+				runtime.Gosched()
+				continue
 			}
 			if err := r.EnqueueResponse(id, p); err != nil {
 				t.Errorf("backend: %v", err)
 				return
 			}
+			i++
 		}
 	}()
 	// Frontend consumer.
 	got := make(map[uint64][]byte, n)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < n; i++ {
-			id, p, err := r.DequeueResponse()
+		for i := 0; i < n; {
+			id, p, ok, err := r.TryDequeueResponseInto(nil)
 			if err != nil {
 				t.Errorf("frontend: %v", err)
 				return
 			}
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
 			got[id] = p
+			i++
 		}
 	}()
 	sent := make(map[uint64][]byte, n)
@@ -277,15 +572,15 @@ func TestPropertyEchoPreservesPayloads(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			gid, p, err := r.DequeueRequest()
-			if err != nil || gid != id || !bytes.Equal(p, m) {
+			gid, p, ok, err := r.TryDequeueRequestInto(nil)
+			if err != nil || !ok || gid != id || !bytes.Equal(p, m) {
 				return false
 			}
 			if err := r.EnqueueResponse(id, p); err != nil {
 				return false
 			}
-			rid, rp, err := r.DequeueResponse()
-			if err != nil || rid != id || !bytes.Equal(rp, m) {
+			rid, rp, ok, err := r.TryDequeueResponseInto(nil)
+			if err != nil || !ok || rid != id || !bytes.Equal(rp, m) {
 				return false
 			}
 		}
@@ -328,29 +623,96 @@ func TestAttachResolvesSameRing(t *testing.T) {
 	}
 }
 
-func TestTryDequeueResponseAndPending(t *testing.T) {
-	r := newTestRing(t, Geometry{NumSlots: 4, SlotSize: 32})
-	if _, _, ok, err := r.TryDequeueResponse(); ok || err != nil {
-		t.Fatalf("empty: ok=%v err=%v", ok, err)
+// FuzzRingSharedRegion treats the ring's shared region — header and slots —
+// as the hostile peer's to write: between single-frame enqueue and dequeue
+// steps on both ends, fuzz bytes overwrite any part of it. Whatever lands
+// there, no call may panic or block, every dequeue must yield an error or a
+// payload that fits a slot, the frontend may never take more responses than
+// it published requests, and the backend may never hold more unanswered
+// requests than the ring has slots.
+//
+// The input is a program of one-byte opcodes (mod 4): 0 enqueues a request
+// whose length is the next byte, 1 takes a request and answers it, 2 takes
+// a response, 3 writes the next byte's count of bytes at the offset named
+// by the two bytes after it.
+func FuzzRingSharedRegion(f *testing.F) {
+	g := Geometry{NumSlots: 8, SlotSize: 64}
+	reqProd := func(v uint32) []byte {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		return append([]byte{3, 4, offReqProd, 0}, b[:]...)
 	}
-	id, _ := r.EnqueueRequest([]byte("q"))
-	if reqs, rsps := r.Pending(); reqs != 1 || rsps != 0 {
-		t.Fatalf("pending = %d/%d", reqs, rsps)
-	}
-	r.DequeueRequest()
-	r.EnqueueResponse(id, []byte("a"))
-	if reqs, rsps := r.Pending(); reqs != 0 || rsps != 1 {
-		t.Fatalf("pending = %d/%d", reqs, rsps)
-	}
-	gid, p, ok, err := r.TryDequeueResponse()
-	if err != nil || !ok || gid != id || string(p) != "a" {
-		t.Fatalf("got (%d,%q,%v,%v)", gid, p, ok, err)
-	}
-	// Closed ring refuses.
-	r.Close()
-	if _, _, _, err := r.TryDequeueResponse(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed err = %v", err)
-	}
+	f.Add([]byte{0, 5, 1, 2})                                            // clean exchange
+	f.Add(append(reqProd(100000), 1, 1, 1))                              // request index far ahead
+	f.Add([]byte{3, 4, offRspProd, 0, 0xE8, 0x03, 0, 0, 2, 2})           // responses never asked for
+	f.Add([]byte{0, 3, 3, 4, headerSize + 12, 0, 0xFF, 0xFF, 0, 0, 1})   // slot length past the slot
+	f.Add([]byte{0, 1, 1, 3, 1, headerSize + 4, 0, 9, 2})                // response id rewritten
+	f.Add([]byte{0, 1, 0, 1, 3, 2, offNumSlots, 0, 0xFF, 0xFF, 1, 1, 2}) // geometry fields rewritten
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		region := make([]byte, g.RegionSize())
+		r, err := Init(region, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		next := func(i *int) int {
+			if *i >= len(prog) {
+				return 0
+			}
+			*i++
+			return int(prog[*i-1])
+		}
+		var published, answeredBack int // frontend: requests out, responses in
+		var taken, answered int         // backend: requests in, responses out
+		payload := make([]byte, g.SlotSize)
+		for i := 0; i < len(prog); {
+			switch next(&i) % 4 {
+			case 0:
+				n := next(&i) % (int(g.SlotSize) + 1)
+				if published-answeredBack >= int(g.NumSlots) {
+					continue // a full ring blocks the frontend; skip
+				}
+				if _, err := r.EnqueueRequest(payload[:n]); err != nil {
+					t.Fatalf("EnqueueRequest: %v", err)
+				}
+				published++
+			case 1:
+				id, p, ok, err := r.TryDequeueRequestInto(nil)
+				if err != nil || !ok {
+					continue
+				}
+				if len(p) > int(g.SlotSize) {
+					t.Fatalf("request payload of %d bytes from %d-byte slots", len(p), g.SlotSize)
+				}
+				taken++
+				if taken-answered > int(g.NumSlots) {
+					t.Fatalf("backend holds %d unanswered requests on a %d-slot ring", taken-answered, g.NumSlots)
+				}
+				if r.EnqueueResponse(id, p) == nil {
+					answered++
+				}
+			case 2:
+				_, p, ok, err := r.TryDequeueResponseInto(nil)
+				if err != nil || !ok {
+					continue
+				}
+				if len(p) > int(g.SlotSize) {
+					t.Fatalf("response payload of %d bytes from %d-byte slots", len(p), g.SlotSize)
+				}
+				answeredBack++
+				if answeredBack > published {
+					t.Fatalf("frontend took %d responses for %d requests", answeredBack, published)
+				}
+			case 3:
+				n := next(&i)
+				off := (next(&i) | next(&i)<<8) % len(region)
+				for ; n > 0 && i < len(prog); n-- {
+					region[off] = byte(next(&i))
+					off = (off + 1) % len(region)
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkRingRoundTrip(b *testing.B) {
@@ -360,6 +722,7 @@ func BenchmarkRingRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	payload := make([]byte, 1024)
+	var req, rsp []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,71 +730,15 @@ func BenchmarkRingRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		gid, p, err := r.DequeueRequest()
+		_, req, _, err = r.TryDequeueRequestInto(req[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = gid
-		if err := r.EnqueueResponse(id, p); err != nil {
+		if err := r.EnqueueResponse(id, req); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := r.DequeueResponse(); err != nil {
+		if _, rsp, _, err = r.TryDequeueResponseInto(rsp[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestStats locks the traffic-counter contract: requests/responses count
-// published frames, fullWaits counts blocked enqueues, pending tracks the
-// live backlog.
-func TestStats(t *testing.T) {
-	r := newTestRing(t, Geometry{NumSlots: 2, SlotSize: 64})
-	if s := r.Stats(); s != (Stats{}) {
-		t.Fatalf("fresh ring stats = %+v, want zero", s)
-	}
-	id1, err := r.EnqueueRequest([]byte("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := r.EnqueueRequest([]byte("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.Stats()
-	if s.Requests != 2 || s.PendingRequests != 2 || s.Responses != 0 || s.FullWaits != 0 {
-		t.Fatalf("after 2 enqueues: %+v", s)
-	}
-
-	// Ring is full (2 slots, neither response consumed): a third enqueue
-	// must block and be counted as a full-wait.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := r.EnqueueRequest([]byte("c")); err != nil {
-			t.Errorf("blocked EnqueueRequest: %v", err)
-		}
-	}()
-	// Wait until the third enqueue has actually blocked (the counter is
-	// bumped before the wait), then open a slot to release it.
-	for r.Stats().FullWaits == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	if _, _, err := r.DequeueRequest(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnqueueResponse(id1, []byte("A")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.DequeueResponse(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	s = r.Stats()
-	if s.Requests != 3 || s.Responses != 1 || s.FullWaits != 1 {
-		t.Fatalf("after blocked enqueue cycle: %+v", s)
-	}
-	if s.PendingRequests != 2 || s.PendingResponses != 0 {
-		t.Fatalf("pending after cycle: %+v", s)
-	}
-	_ = id2
 }

@@ -76,8 +76,8 @@ func (c *Client) nonce() (n [NonceSize]byte, err error) {
 // cmdWriterPool recycles command-frame Writers across run/runAuth calls:
 // framing a command costs a pool round trip instead of a Writer and buffer
 // allocation per command. Safe under concurrent clients (and concurrent
-// calls into one client, which the pipelined frontend makes) because each
-// call holds a private Writer between Get and Put. The Writer is released
+// calls into one client) because each call holds a private Writer between
+// Get and Put. The Writer is released
 // after Transmit returns — transports own their copy of the frame by then.
 var cmdWriterPool = sync.Pool{New: func() interface{} { return new(Writer) }}
 

@@ -3,6 +3,7 @@ package vtpm
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,9 +18,9 @@ type awaitRig struct {
 	guest       xen.DomID
 	port, dPort xen.EvtchnPort
 
-	mu    sync.Mutex
-	trace strings.Builder
-	flag  bool
+	mu     sync.Mutex
+	trace  strings.Builder
+	flagOn bool
 }
 
 func newAwaitRig(t *testing.T) *awaitRig {
@@ -38,10 +39,17 @@ func newAwaitRig(t *testing.T) *awaitRig {
 	return &awaitRig{ec: ec, guest: dom.ID(), port: port, dPort: dPort}
 }
 
+// flag reads the notify flag, as a producer deciding on its doorbell does.
+func (r *awaitRig) flag() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.flagOn
+}
+
 func (r *awaitRig) setNotify(on bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.flag = on
+	r.flagOn = on
 	if on {
 		r.trace.WriteByte('+')
 	} else {
@@ -49,64 +57,79 @@ func (r *awaitRig) setNotify(on bool) {
 	}
 }
 
-// await runs awaitRing with a poll that reports a frame on poll number
-// ready (1-based), calling onPoll (if non-nil) with each poll's number and
-// the flag it saw.
-func (r *awaitRig) await(t *testing.T, ready int, onPoll func(n int, flag bool)) string {
+// await runs awaitRing with a poll that reports a frame once ready says
+// so, calling onPoll (if non-nil) with each poll's number and the flag it
+// saw. It fails the test if awaitRing has not returned within 10 s — a
+// consumer that slept through its doorbell would never return.
+func (r *awaitRig) await(t *testing.T, ready func(n int) bool, onPoll func(n int, flag bool)) string {
 	t.Helper()
 	n := 0
-	err := awaitRing(r.ec, r.guest, r.port, r.setNotify, func() (bool, error) {
-		r.mu.Lock()
-		n++
-		r.trace.WriteByte('p')
-		flag := r.flag
-		r.mu.Unlock()
-		if onPoll != nil {
-			onPoll(n, flag)
+	done := make(chan error, 1)
+	go func() {
+		done <- awaitRing(r.ec, r.guest, r.port, r.setNotify, func() (bool, error) {
+			r.mu.Lock()
+			n++
+			r.trace.WriteByte('p')
+			flag, polls := r.flagOn, n
+			r.mu.Unlock()
+			if onPoll != nil {
+				onPoll(polls, flag)
+			}
+			return ready(polls), nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n >= ready, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("awaitRing still asleep 10s after the frame was published")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.flag {
+	if r.flagOn {
 		t.Fatal("notify flag left raised on return")
 	}
 	return r.trace.String()
 }
 
-// TestAwaitRingBlocksAtOnceWhenDoorbellsAreFree checks the zero-latency
-// shape: one poll, raise, the final-check poll, sleep, clear — no yielding
-// re-polls — and the flag is raised only across the final check and the
-// sleep.
+// TestAwaitRingBlocksAtOnceWhenDoorbellsAreFree checks the one wait shape:
+// a poll, raise, the final-check poll, then a sleep on the event channel
+// with no re-polling until the doorbell, clear — and the flag is raised
+// only across the final check and the sleep.
 func TestAwaitRingBlocksAtOnceWhenDoorbellsAreFree(t *testing.T) {
 	r := newAwaitRig(t)
+	const hold = 20 * time.Millisecond
+	var published atomic.Bool
+	var wg sync.WaitGroup
 	start := time.Now()
-	if got, want := r.await(t, 3, nil), "p+p-p"; got != want {
+	got := r.await(t, func(int) bool { return published.Load() }, func(n int, _ bool) {
+		if n != 2 {
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(hold)
+			published.Store(true)
+			if err := r.ec.Notify(xen.Dom0, r.dPort); err != nil {
+				t.Error(err)
+			}
+		}()
+	})
+	wg.Wait()
+	// One sleep, no timer: a consumer that re-polled while waiting would
+	// show more polls than the three here.
+	if want := "p+p-p"; got != want {
 		t.Fatalf("trace = %q, want %q", got, want)
 	}
-	// Nobody rang, so the one sleep lasted the whole poll interval.
-	if el := time.Since(start); el < driverWaitPoll {
-		t.Fatalf("returned after %v, before the %v wait could expire", el, driverWaitPoll)
+	if el := time.Since(start); el < hold {
+		t.Fatalf("returned after %v, before the doorbell rang at %v", el, hold)
 	}
 	// A frame found by the final check returns without sleeping.
 	r = newAwaitRig(t)
-	if got, want := r.await(t, 2, nil), "p+p-"; got != want {
-		t.Fatalf("trace = %q, want %q", got, want)
-	}
-}
-
-// TestAwaitRingYieldsOnlyWhenDoorbellsCost checks that with a modelled
-// doorbell cost the consumer re-polls pipeSpinPolls times before raising
-// its flag, and re-arms that budget after every wake.
-func TestAwaitRingYieldsOnlyWhenDoorbellsCost(t *testing.T) {
-	r := newAwaitRig(t)
-	r.ec.SetNotifyLatency(25 * time.Microsecond)
-	cycle := strings.Repeat("p", pipeSpinPolls+1) + "+p-"
-	got := r.await(t, 2*(pipeSpinPolls+2)+1, nil)
-	if want := cycle + cycle + "p"; got != want {
+	if got, want := r.await(t, func(n int) bool { return n >= 2 }, nil), "p+p-"; got != want {
 		t.Fatalf("trace = %q, want %q", got, want)
 	}
 }
@@ -114,40 +137,34 @@ func TestAwaitRingYieldsOnlyWhenDoorbellsCost(t *testing.T) {
 // TestAwaitRingWokenByFrameInTheGap publishes a frame just after the
 // consumer's final check, as a producer racing the consumer's sleep does:
 // the producer sees the raised flag and rings, so the consumer wakes on the
-// event instead of waiting out driverWaitPoll. A consumer that missed the
-// event could not return before its wait expired, so the best of a few
-// attempts must land well inside it.
+// event. A consumer that missed it would sleep forever; await fails the
+// test on a deadline instead.
 func TestAwaitRingWokenByFrameInTheGap(t *testing.T) {
-	best := time.Hour
 	for attempt := 0; attempt < 5; attempt++ {
 		r := newAwaitRig(t)
-		var checked time.Time
+		var published atomic.Bool
 		var wg sync.WaitGroup
-		got := r.await(t, 3, func(n int, flag bool) {
+		got := r.await(t, func(int) bool { return published.Load() }, func(n int, flag bool) {
 			if n != 2 {
 				return
 			}
 			if !flag {
 				t.Error("final check ran with the notify flag lowered")
 			}
-			checked = time.Now()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := r.ec.Notify(xen.Dom0, r.dPort); err != nil {
-					t.Error(err)
+				published.Store(true)
+				if r.flag() {
+					if err := r.ec.Notify(xen.Dom0, r.dPort); err != nil {
+						t.Error(err)
+					}
 				}
 			}()
 		})
-		if el := time.Since(checked); el < best {
-			best = el
-		}
 		wg.Wait()
-		if want := "p+p-p"; got != want {
+		if want := "p+p-p"; got != want && got != "p+p-" {
 			t.Fatalf("trace = %q, want %q", got, want)
 		}
-	}
-	if best >= driverWaitPoll/2 {
-		t.Fatalf("fastest wake took %v, want well inside %v", best, driverWaitPoll)
 	}
 }

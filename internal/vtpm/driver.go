@@ -3,8 +3,6 @@ package vtpm
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -34,42 +32,19 @@ const (
 	RCInstanceMoved  uint32 = 0x00000F05 // instance fenced: ownership moved, retry at the new owner
 )
 
-// driverWaitPoll is how long a ring consumer blocks on the event channel
-// before re-polling the ring. On real hardware a lost interrupt stalls the
-// device until the next one; here a bounded wait turns a dropped
-// notification (see xen.EventChannels.SetNotifyFault) into a short delay
-// instead of a deadlock.
-const driverWaitPoll = 2 * time.Millisecond
-
-// pipeSpinPolls bounds how many times a ring consumer yields the processor
-// and re-polls before it sleeps, when doorbells have a modelled cost: the
-// producer usually answers within microseconds, and a response caught by
-// polling is one the producer need not pay a doorbell for.
-const pipeSpinPolls = 64
-
 // awaitRing is the consumer side of every ring direction — the backend
 // waiting for requests, frontends waiting for responses — in the Xen
-// RING_FINAL_CHECK shape. It polls until poll reports frames or fails. The
+// RING_FINAL_CHECK shape. It polls until poll reports a frame or fails. The
 // direction's notify flag stays cleared while the consumer is awake, so
 // producers skip their doorbells; it is raised only right before sleeping,
 // followed by one more poll so a frame published into the gap is never
-// announced into silence, and cleared again after every wake. Yielding
-// between polls only pays when a doorbell costs something
-// (NotifyLatency > 0); at zero cost the consumer blocks at once.
+// announced into silence, and cleared again after every wake. The sleep
+// blocks on the event channel until a doorbell or a close: a producer that
+// publishes after the final poll sees the raised flag and rings.
 func awaitRing(ec *xen.EventChannels, self xen.DomID, port xen.EvtchnPort, setNotify func(on bool), poll func() (bool, error)) error {
-	spins := 0
-	if ec.NotifyLatency() > 0 {
-		spins = pipeSpinPolls
-	}
 	for {
-		for spin := 0; ; spin++ {
-			if ok, err := poll(); ok || err != nil {
-				return err
-			}
-			if spin >= spins {
-				break
-			}
-			runtime.Gosched()
+		if ok, err := poll(); ok || err != nil {
+			return err
 		}
 		setNotify(true)
 		ok, err := poll()
@@ -77,10 +52,10 @@ func awaitRing(ec *xen.EventChannels, self xen.DomID, port xen.EvtchnPort, setNo
 			setNotify(false)
 			return err
 		}
-		werr := ec.WaitTimeout(self, port, driverWaitPoll)
+		err = ec.Wait(self, port)
 		setNotify(false)
-		if werr != nil && !errors.Is(werr, xen.ErrWaitTimeout) {
-			return werr
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -128,14 +103,15 @@ func backPath(dom xen.DomID) string {
 }
 
 // Frontend is the guest half of the vTPM split driver. It implements
-// tpm.Transport, so a tpm.Client can sit directly on top of it.
+// tpm.Transport, so a tpm.Client can sit directly on top of it. Like
+// /dev/tpm0 under the guest's TPM core, it keeps one command in flight:
+// concurrent callers queue on its lock.
 type Frontend struct {
-	hv    *xen.Hypervisor
-	xs    *xenstore.Store
-	dom   *xen.Domain
-	codec GuestCodec
-	cfg   FrontendConfig
-	pipe  *pipeline // non-nil when cfg.PipelineDepth > 1
+	hv      *xen.Hypervisor
+	xs      *xenstore.Store
+	dom     *xen.Domain
+	codec   GuestCodec
+	metrics *TransportMetrics // nil: round trips go unrecorded
 
 	mu     sync.Mutex
 	r      *ring.Ring
@@ -145,22 +121,11 @@ type Frontend struct {
 	rxBuf  []byte // reusable response-dequeue buffer (guarded by mu)
 }
 
-// NewFrontend prepares a lockstep frontend for a guest. codec is the channel
-// codec installed by the domain builder.
-func NewFrontend(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec GuestCodec) *Frontend {
-	return NewFrontendCfg(hv, xs, dom, codec, FrontendConfig{})
-}
-
-// NewFrontendCfg is NewFrontend with explicit transport configuration.
-func NewFrontendCfg(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec GuestCodec, cfg FrontendConfig) *Frontend {
-	if cfg.PipelineDepth > int(deviceRingGeometry.NumSlots) {
-		cfg.PipelineDepth = int(deviceRingGeometry.NumSlots)
-	}
-	f := &Frontend{hv: hv, xs: xs, dom: dom, codec: codec, cfg: cfg}
-	if cfg.PipelineDepth > 1 {
-		f.pipe = newPipeline(cfg.PipelineDepth)
-	}
-	return f
+// NewFrontend prepares a frontend for a guest. codec is the channel codec
+// installed by the domain builder; tm, when non-nil, receives the guest's
+// command round-trip latencies.
+func NewFrontend(hv *xen.Hypervisor, xs *xenstore.Store, dom *xen.Domain, codec GuestCodec, tm *TransportMetrics) *Frontend {
+	return &Frontend{hv: hv, xs: xs, dom: dom, codec: codec, metrics: tm}
 }
 
 // Setup allocates the ring in guest memory, grants it to dom0, allocates the
@@ -236,18 +201,14 @@ func (f *Frontend) WaitConnected() error {
 }
 
 // Transmit implements tpm.Transport: encode, enqueue, kick the backend, and
-// block for the response. With PipelineDepth <= 1 one command is in flight at
-// a time per frontend, matching the /dev/tpm0 semantics guests see; larger
-// depths route through the pipelined pending table. The returned slice is
+// block for the response. One command is in flight at a time per frontend,
+// matching the /dev/tpm0 semantics guests see. The returned slice is
 // caller-owned: concurrent users of one client keep reading their response
 // while the next command is already overwriting the frontend's scratch
 // buffers, so the decode step lands in a fresh allocation.
 func (f *Frontend) Transmit(cmd []byte) ([]byte, error) {
-	if f.pipe != nil {
-		return f.transmitPipelined(cmd)
-	}
 	var start time.Time
-	tm := f.cfg.Metrics
+	tm := f.metrics
 	if tm != nil {
 		start = time.Now()
 	}
@@ -260,7 +221,7 @@ func (f *Frontend) Transmit(cmd []byte) ([]byte, error) {
 	return resp, err
 }
 
-// transmitLocked is the lockstep transmit path, under f.mu.
+// transmitLocked is one command's round trip, under f.mu.
 func (f *Frontend) transmitLocked(cmd []byte) ([]byte, error) {
 	if f.r == nil || f.closed {
 		return nil, ErrNotConnected
@@ -298,6 +259,23 @@ func (f *Frontend) transmitLocked(cmd []byte) ([]byte, error) {
 	return f.decodeFrame(rp, seq)
 }
 
+// decodeFrame unwraps a framed response carrying channel sequence seq. The
+// returned slice is caller-owned (copied or freshly decoded), since the
+// frame's buffer is the frontend's scratch, reused for the next command.
+func (f *Frontend) decodeFrame(rp []byte, seq uint64) ([]byte, error) {
+	if len(rp) == 0 {
+		return nil, ErrShortPayload
+	}
+	switch rp[0] {
+	case payloadRaw:
+		return append([]byte(nil), rp[1:]...), nil
+	case payloadEncoded:
+		return f.codec.DecodeResponse(nil, rp[1:], seq)
+	default:
+		return nil, fmt.Errorf("vtpm: unknown response framing %d", rp[0])
+	}
+}
+
 // Close tears the frontend down.
 func (f *Frontend) Close() {
 	f.mu.Lock()
@@ -329,8 +307,8 @@ type Backend struct {
 	xs  *xenstore.Store
 	mgr *Manager
 
-	// transport, when non-nil, receives per-drain batch sizes. Set it with
-	// SetTransportMetrics before the first AttachDevice.
+	// transport, when non-nil, receives the frames per ring drain. Set it
+	// with SetTransportMetrics before the first AttachDevice.
 	transport *TransportMetrics
 
 	mu      sync.Mutex
@@ -342,9 +320,9 @@ func NewBackend(hv *xen.Hypervisor, xs *xenstore.Store, mgr *Manager) *Backend {
 	return &Backend{hv: hv, xs: xs, mgr: mgr, devices: make(map[xen.DomID]*backendDevice)}
 }
 
-// SetTransportMetrics installs the host's transport instruments (ring batch
-// sizes per backend drain). Call before the first AttachDevice — service
-// loops read the pointer without locking.
+// SetTransportMetrics installs the host's transport instruments (frames per
+// backend ring drain). Call before the first AttachDevice — service loops
+// read the pointer without locking.
 func (b *Backend) SetTransportMetrics(tm *TransportMetrics) { b.transport = tm }
 
 // readInt reads a decimal XenStore value.
@@ -426,52 +404,49 @@ func (b *Backend) AttachDevice(front xen.DomID) error {
 	return nil
 }
 
-// serve is the per-device service loop, batched: each wakeup drains every
-// pending request off the ring in one pass, dispatches them in order, and
-// publishes the responses as one batch with (at most) one doorbell. Between
-// batches it waits in awaitRing, so frontends skip their doorbells while it
-// is draining. Both batches reuse per-device scratch buffers, so a steady
-// stream serves without allocating beyond dispatch itself.
+// serve is the per-device service loop: it takes one request off the ring,
+// dispatches it, publishes the response and kicks the frontend — only if
+// its notify flag asks for one. Between requests it waits in awaitRing, so
+// the frontend skips its doorbell while the backend is awake. Both frames
+// reuse per-device scratch buffers, so a steady stream serves without
+// allocating beyond dispatch itself. Any ring or channel failure — a close,
+// or a guest publishing an impossible producer index — stops the device:
+// the loop closes its ring and channel, so the frontend sees the device
+// gone instead of waiting on it.
 func (b *Backend) serve(dev *backendDevice) {
 	defer close(dev.done)
 	ec := b.hv.EventChannels()
-	var req, rsp ring.Batch
-	n := 0
+	defer ec.Close(xen.Dom0, dev.port) //nolint:errcheck // may already be closed
+	defer dev.r.Close()
+	var (
+		id       uint64
+		req, rsp []byte
+	)
 	poll := func() (bool, error) {
-		var err error
-		n, err = dev.r.DequeueRequestBatchInto(&req, 0)
-		return n > 0, err
+		rid, p, ok, err := dev.r.TryDequeueRequestInto(req[:0])
+		if ok {
+			id, req = rid, p // an empty poll must not drop the scratch buffer
+		}
+		return ok, err
 	}
 	for {
 		if awaitRing(ec, xen.Dom0, dev.port, dev.r.SetRequestNotify, poll) != nil {
-			return // ring or channel closed
-		}
-		if b.serveBatch(dev, &req, &rsp, n) != nil {
 			return
 		}
+		if tm := b.transport; tm != nil {
+			tm.RingBatch.Record(1)
+		}
+		rsp = b.handleAppend(dev, rsp[:0], req)
+		if dev.r.EnqueueResponse(id, rsp) != nil {
+			return
+		}
+		ringDoorbell(ec, xen.Dom0, dev.port, dev.r.ResponseNotifyWanted()) //nolint:errcheck // frontend may be tearing down
 	}
-}
-
-// serveBatch dispatches one drained request batch and publishes the response
-// batch, kicking the frontend once — and only if its notify flag asks for it.
-func (b *Backend) serveBatch(dev *backendDevice, req, rsp *ring.Batch, n int) error {
-	if tm := b.transport; tm != nil {
-		tm.RingBatch.Record(time.Duration(n))
-	}
-	rsp.Reset()
-	for i := 0; i < n; i++ {
-		id, payload := req.Frame(i)
-		rsp.Commit(id, b.handleAppend(dev, rsp.Take(), payload))
-	}
-	if err := dev.r.EnqueueResponseBatch(rsp); err != nil {
-		return err
-	}
-	ringDoorbell(b.hv.EventChannels(), xen.Dom0, dev.port, dev.r.ResponseNotifyWanted()) //nolint:errcheck // frontend may be tearing down
-	return nil
 }
 
 // handleAppend runs one ring payload through the manager and appends the
-// framed response to dst (a batch scratch buffer), returning the extension.
+// framed response to dst (the device's scratch buffer), returning the
+// extension.
 func (b *Backend) handleAppend(dev *backendDevice, dst, payload []byte) []byte {
 	if len(payload) < 1 || payload[0] != payloadEncoded {
 		return append(append(dst, payloadRaw), tpm.ErrorResponse(RCGuardChannel)...)
@@ -569,29 +544,23 @@ func (b *Backend) DetachDevice(front xen.DomID) error {
 		[]byte(strconv.Itoa(XenbusClosed)))
 }
 
+// DetachAll detaches every connected device (see DetachDevice).
+func (b *Backend) DetachAll() {
+	b.mu.Lock()
+	fronts := make([]xen.DomID, 0, len(b.devices))
+	for front := range b.devices {
+		fronts = append(fronts, front)
+	}
+	b.mu.Unlock()
+	for _, front := range fronts {
+		b.DetachDevice(front) //nolint:errcheck // a concurrent detach may win
+	}
+}
+
 // Connected reports whether a frontend domain has a live backend device.
 func (b *Backend) Connected(front xen.DomID) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	_, ok := b.devices[front]
 	return ok
-}
-
-// DeviceStats is one connected device's ring-traffic digest.
-type DeviceStats struct {
-	Front xen.DomID
-	Ring  ring.Stats
-}
-
-// DeviceStatsAll snapshots the ring counters of every connected device,
-// sorted by frontend domain (for /debug introspection and vtpmctl top).
-func (b *Backend) DeviceStatsAll() []DeviceStats {
-	b.mu.Lock()
-	out := make([]DeviceStats, 0, len(b.devices))
-	for front, dev := range b.devices {
-		out = append(out, DeviceStats{Front: front, Ring: dev.r.Stats()})
-	}
-	b.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Front < out[j].Front })
-	return out
 }

@@ -1,13 +1,16 @@
 package vtpm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
+	"xvtpm/internal/metrics"
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/xen"
 	"xvtpm/internal/xenstore"
@@ -25,7 +28,7 @@ func connectDevice(t *testing.T, guard Guard) (*xen.Hypervisor, *Manager, *Backe
 	if err := mgr.BindInstance(id, dom); err != nil {
 		t.Fatal(err)
 	}
-	fe := NewFrontend(hv, xs, dom, PlainCodec{})
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 	if err := fe.Setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestDoubleAttachRejected(t *testing.T) {
 	dom := mkGuestDom(t, hv, xs, "g")
 	id, _ := mgr.CreateInstance()
 	mgr.BindInstance(id, dom)
-	fe := NewFrontend(hv, xs, dom, PlainCodec{})
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 	if err := fe.Setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestWatchAndServeAutoAttaches(t *testing.T) {
 		if err := mgr.BindInstance(id, dom); err != nil {
 			t.Fatal(err)
 		}
-		fe := NewFrontend(hv, xs, dom, PlainCodec{})
+		fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 		if err := fe.Setup(); err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +240,7 @@ func TestSetupFailsWhenGuestOutOfMemory(t *testing.T) {
 	xs.SetPerms(xen.Dom0, xenstore.NoTxn, base, xenstore.Perms{Owner: dom.ID()})
 	id, _ := mgr.CreateInstance()
 	mgr.BindInstance(id, dom)
-	fe := NewFrontend(hv, xs, dom, PlainCodec{})
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 	if err := fe.Setup(); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("err = %v, want ErrHandshake (ring larger than guest memory)", err)
 	}
@@ -261,5 +264,123 @@ func TestLockstepLeavesNoStaleEvents(t *testing.T) {
 	}
 	if n > 1 {
 		t.Fatalf("frontend port holds %d unconsumed events after 2000 commands, want <= 1", n)
+	}
+}
+
+// TestPipelineSurvivesDroppedNotifies drops every event-channel
+// notification in both directions of the guest command path (frontend →
+// ring → backend and back) while the device goes idle between commands:
+// an idle consumer sleeps with its notify flag raised, so each command's
+// doorbells are real notifies, which the lost-doorbell fault delivers only
+// late. Each command must still complete, by a bounded stall, and every
+// round trip must be timed.
+func TestPipelineSurvivesDroppedNotifies(t *testing.T) {
+	hv, xs, mgr, be := newTestRig(t, &passGuard{})
+	dom := mkGuestDom(t, hv, xs, "g")
+	id, err := mgr.CreateInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.BindInstance(id, dom); err != nil {
+		t.Fatal(err)
+	}
+	tm := NewTransportMetrics()
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, tm)
+	if err := fe.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.AttachDevice(dom.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.WaitConnected(); err != nil {
+		t.Fatal(err)
+	}
+	cli := tpm.NewClient(fe, nil)
+	if err := cli.SelfTestFull(); err != nil {
+		t.Fatal(err)
+	}
+	ec := hv.EventChannels()
+	ec.SetNotifyFault(func(xen.DomID, xen.EvtchnPort) bool { return true })
+	defer ec.SetNotifyFault(nil)
+	const cmds = 5
+	for i := 0; i < cmds; i++ {
+		time.Sleep(5 * time.Millisecond)
+		if _, err := cli.GetRandom(8); err != nil {
+			t.Fatalf("command %d: %v", i, err)
+		}
+	}
+	if ec.DroppedNotifies() == 0 {
+		t.Fatal("fault hook never fired; test exercised nothing")
+	}
+	if s := tm.GuestRTT.Summarize(); s.Count != cmds+1 {
+		t.Fatalf("GuestRTT count = %d, want %d", s.Count, cmds+1)
+	}
+}
+
+// TestBackendStopsDeviceOnImpossibleProducer plays a guest that marks its
+// ring's slots as requests and publishes a request producer index far past
+// the ring before the backend attaches. The backend's first drain must
+// refuse the index and stop the device — its service loop exits and closes
+// the ring — rather than read that many frames; the guest's next command
+// fails instead of hanging.
+func TestBackendStopsDeviceOnImpossibleProducer(t *testing.T) {
+	hv, xs, mgr, be := newTestRig(t, &passGuard{})
+	dom := mkGuestDom(t, hv, xs, "g")
+	id, err := mgr.CreateInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.BindInstance(id, dom); err != nil {
+		t.Fatal(err)
+	}
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
+	if err := fe.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	// The ring is the guest's first allocation, so it starts at page 0.
+	region, err := dom.PageRun(0, deviceRingPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := 16 + int(deviceRingGeometry.SlotSize)
+	for i := 0; i < int(deviceRingGeometry.NumSlots); i++ {
+		region[24+i*stride] = 1 // slot status: request
+	}
+	binary.LittleEndian.PutUint32(region[0:], 100000) // request producer
+	if err := be.AttachDevice(dom.ID()); err != nil {
+		t.Fatal(err)
+	}
+	be.mu.Lock()
+	dev := be.devices[dom.ID()]
+	be.mu.Unlock()
+	select {
+	case <-dev.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("backend kept serving a ring with an impossible producer index")
+	}
+	if !dev.r.Closed() {
+		t.Fatal("stopped device left its ring open")
+	}
+	if _, err := tpm.NewClient(fe, nil).GetRandom(8); err == nil {
+		t.Fatal("stopped device answered")
+	}
+	if err := be.DetachDevice(dom.ID()); err != nil {
+		t.Fatalf("DetachDevice of a stopped device: %v", err)
+	}
+}
+
+func TestTransportMetricsRegister(t *testing.T) {
+	tm := NewTransportMetrics()
+	reg := metrics.NewRegistry()
+	if err := tm.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Register(metrics.NewRegistry()); err != nil {
+		t.Fatal(err)
+	}
+	tm.GuestRTT.Record(1000)
+	tm.RingBatch.Record(3)
+	if s := tm.RingBatch.Summarize(); s.Count != 1 {
+		t.Fatalf("ring batch count = %d", s.Count)
 	}
 }

@@ -103,8 +103,8 @@ type Guard interface {
 // framed request in one reusable transmit buffer.
 type GuestCodec interface {
 	// EncodeRequest appends the ring payload for cmd to dst and returns the
-	// extended slice with the request's sequence tag. A pipelined frontend
-	// keeps the tag per in-flight slot to match out-of-order completions.
+	// extended slice with the request's sequence tag, which the frontend
+	// hands back to DecodeResponse with the command's response.
 	EncodeRequest(dst, cmd []byte) ([]byte, uint64, error)
 	// DecodeResponse unwraps a ring response that must answer the request
 	// tagged seq, appending the plaintext to dst and returning the extended

@@ -271,7 +271,7 @@ func TestFrontBackHandshakeAndTraffic(t *testing.T) {
 	dom := mkGuestDom(t, hv, xs, "g")
 	id, _ := mgr.CreateInstance()
 	mgr.BindInstance(id, dom)
-	fe := NewFrontend(hv, xs, dom, PlainCodec{})
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 	if err := fe.Setup(); err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestFrontBackHandshakeAndTraffic(t *testing.T) {
 func TestAttachRequiresBoundInstance(t *testing.T) {
 	hv, xs, _, be := newTestRig(t, &passGuard{})
 	dom := mkGuestDom(t, hv, xs, "g")
-	fe := NewFrontend(hv, xs, dom, PlainCodec{})
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 	if err := fe.Setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestGuardDenialBecomesTPMError(t *testing.T) {
 	dom := mkGuestDom(t, hv, xs, "g")
 	id, _ := mgr.CreateInstance()
 	mgr.BindInstance(id, dom)
-	fe := NewFrontend(hv, xs, dom, PlainCodec{})
+	fe := NewFrontend(hv, xs, dom, PlainCodec{}, nil)
 	fe.Setup()
 	be.AttachDevice(dom.ID())
 	fe.WaitConnected()

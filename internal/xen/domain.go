@@ -172,6 +172,20 @@ func (d *Domain) snapshotMemory() []byte {
 	return out
 }
 
+// scrubPages zeroes the given pages of a destroyed domain once no peer maps
+// them any more. The page table is fixed at creation, so no domain lock is
+// needed; the bus keeps the scrub whole for concurrent observers.
+func (d *Domain) scrubPages(pages []int) {
+	if len(pages) == 0 {
+		return
+	}
+	d.bus.beginSnapshot()
+	for _, i := range pages {
+		clear(d.pages[i])
+	}
+	d.bus.endSnapshot()
+}
+
 // restoreMemory overwrites page contents from a snapshot.
 func (d *Domain) restoreMemory(img []byte) error {
 	d.mu.Lock()

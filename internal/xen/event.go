@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -14,11 +13,13 @@ var (
 	ErrPortNotBound  = errors.New("xen: event channel not bound")
 	ErrPortMismatch  = errors.New("xen: event channel does not belong to caller")
 	ErrChannelClosed = errors.New("xen: event channel closed")
-	// ErrWaitTimeout reports that WaitTimeout elapsed with no event — the
-	// caller should re-check whatever state the notification would have
-	// announced and wait again.
-	ErrWaitTimeout = errors.New("xen: event wait timed out")
 )
+
+// notifyFaultDelay is how late an event lands when the notify fault hook
+// (SetNotifyFault) catches it: the model of a lost interrupt that a later
+// re-check recovers. A consumer blocked on such an event stalls this long
+// instead of forever, and no wait needs a timer of its own.
+const notifyFaultDelay = 2 * time.Millisecond
 
 // errPortClosed is what calls on a port get once it has closed and its
 // endpoint has been freed: the number no longer names a port (ErrBadPort)
@@ -47,13 +48,6 @@ type evtchn struct {
 	state   channelState
 	pending int
 	cond    *sync.Cond
-
-	// timer is the port's single reusable wake-up timer for WaitTimeout: it
-	// broadcasts cond when it fires and is re-armed in place, so a steady
-	// polling driver waits without allocating a fresh timer per call.
-	// timerDeadline is when the armed timer will fire (zero when unarmed).
-	timer         *time.Timer
-	timerDeadline time.Time
 }
 
 // EventChannels is a host-wide port table shared by all domains, guarded by a
@@ -65,8 +59,9 @@ type EventChannels struct {
 	ports map[EvtchnPort]*evtchn
 	next  EvtchnPort
 	// notifyFault, when set, is consulted on every Notify; returning true
-	// drops the event silently (the peer is never woken). Fault injection
-	// only — the hook runs under ec.mu and must not reenter EventChannels.
+	// holds the event back for notifyFaultDelay before it lands on the
+	// peer. Fault injection only — the hook runs under ec.mu and must not
+	// reenter EventChannels.
 	notifyFault func(caller DomID, port EvtchnPort) bool
 	dropped     uint64
 	// suppressed counts doorbells a driver skipped because the peer's ring
@@ -75,25 +70,6 @@ type EventChannels struct {
 	// sent counts doorbells actually delivered; with suppressed it shows how
 	// well a workload coalesces notifications.
 	sent uint64
-
-	// notifyLatency models what EVTCHNOP_send costs on real hardware: the
-	// hypercall trap, event delivery, and the upcall into the peer domain —
-	// typically tens of microseconds once scheduling is counted. The sender
-	// pays it synchronously, before the event lands. Zero (the default)
-	// keeps delivery instantaneous; benchmarks and experiments set it to
-	// study how batching and doorbell suppression amortize per-notify cost.
-	notifyLatency atomic.Int64
-}
-
-// SetNotifyLatency sets the modelled per-doorbell delivery cost (see
-// notifyLatency). Safe to call while traffic is running.
-func (ec *EventChannels) SetNotifyLatency(d time.Duration) {
-	ec.notifyLatency.Store(int64(d))
-}
-
-// NotifyLatency returns the modelled per-doorbell delivery cost.
-func (ec *EventChannels) NotifyLatency() time.Duration {
-	return time.Duration(ec.notifyLatency.Load())
 }
 
 // SentNotifies returns how many doorbells were actually delivered.
@@ -119,16 +95,19 @@ func (ec *EventChannels) SuppressedNotifies() uint64 {
 	return ec.suppressed
 }
 
-// SetNotifyFault installs (or, with nil, removes) a notification-drop hook.
-// The hook is called under the port-table lock and must not call back into
-// EventChannels.
+// SetNotifyFault installs (or, with nil, removes) a lost-notification hook:
+// a Notify the hook returns true for reports success to the sender, but its
+// event lands on the peer only notifyFaultDelay later — and not at all if
+// the channel closes first. The hook is called under the port-table lock
+// and must not call back into EventChannels.
 func (ec *EventChannels) SetNotifyFault(fn func(caller DomID, port EvtchnPort) bool) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	ec.notifyFault = fn
 }
 
-// DroppedNotifies returns how many notifications the fault hook has swallowed.
+// DroppedNotifies returns how many notifications the fault hook has held
+// back for late delivery.
 func (ec *EventChannels) DroppedNotifies() uint64 {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
@@ -193,13 +172,7 @@ func (ec *EventChannels) BindInterdomain(caller DomID, remoteDom DomID, remotePo
 }
 
 // Notify sends an event on caller's port, waking waiters on the peer end.
-// When a notify latency is configured the caller sleeps it off first — the
-// modelled hypercall traps before the event is delivered — outside the port
-// lock so unrelated channels keep moving.
 func (ec *EventChannels) Notify(caller DomID, port EvtchnPort) error {
-	if d := ec.notifyLatency.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	ch, err := ec.ownedLocked(caller, port)
@@ -212,6 +185,16 @@ func (ec *EventChannels) Notify(caller DomID, port EvtchnPort) error {
 	peer := ec.ports[ch.peer] // bound endpoints close in pairs
 	if ec.notifyFault != nil && ec.notifyFault(caller, port) {
 		ec.dropped++
+		time.AfterFunc(notifyFaultDelay, func() {
+			ec.mu.Lock()
+			defer ec.mu.Unlock()
+			// Ports are never reused, so a peer still bound is the one the
+			// event was meant for; a closed one takes nothing.
+			if peer.state == chanBound {
+				peer.pending++
+				peer.cond.Broadcast()
+			}
+		})
 		return nil
 	}
 	peer.pending++
@@ -237,62 +220,6 @@ func (ec *EventChannels) Wait(caller DomID, port EvtchnPort) error {
 	}
 	ch.pending--
 	return nil
-}
-
-// WaitTimeout is Wait with a deadline: it blocks until an event is pending,
-// the channel closes, or d elapses, in which case it returns ErrWaitTimeout
-// without consuming anything. Callers that must survive lost notifications
-// (see SetNotifyFault) wait with a short timeout and re-poll shared state.
-//
-// sync.Cond has no timed wait, so a timer broadcasts the port's cond; every
-// waiter on the port wakes, rechecks its predicate, and the one whose
-// deadline passed observes the timeout. Spurious wakeups are already part of
-// the cond contract, so this costs nothing extra in correctness. Each port
-// keeps ONE reusable timer, re-armed in place to the earliest outstanding
-// deadline — a driver polling every few milliseconds waits without
-// allocating a timer and closure per call.
-func (ec *EventChannels) WaitTimeout(caller DomID, port EvtchnPort, d time.Duration) error {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	ch, err := ec.ownedLocked(caller, port)
-	if err != nil {
-		return err
-	}
-	deadline := time.Now().Add(d)
-	for ch.pending == 0 && ch.state == chanBound {
-		now := time.Now()
-		if !now.Before(deadline) {
-			return ErrWaitTimeout
-		}
-		ec.armTimerLocked(ch, deadline, now)
-		ch.cond.Wait()
-	}
-	if ch.state == chanClosed {
-		return ErrChannelClosed
-	}
-	ch.pending--
-	return nil
-}
-
-// armTimerLocked ensures ch's wake-up timer will broadcast ch.cond no later
-// than deadline. Called with ec.mu held. The timer is created once per port
-// and re-armed thereafter; a past timerDeadline means the last arming already
-// fired.
-func (ec *EventChannels) armTimerLocked(ch *evtchn, deadline, now time.Time) {
-	if ch.timer == nil {
-		ch.timer = time.AfterFunc(deadline.Sub(now), func() {
-			ec.mu.Lock()
-			ch.cond.Broadcast()
-			ec.mu.Unlock()
-		})
-		ch.timerDeadline = deadline
-		return
-	}
-	if ch.timerDeadline.After(now) && !ch.timerDeadline.After(deadline) {
-		return // armed and firing at or before our deadline
-	}
-	ch.timer.Reset(deadline.Sub(now))
-	ch.timerDeadline = deadline
 }
 
 // Pending returns the number of unconsumed events on a port.
@@ -322,16 +249,11 @@ func (ec *EventChannels) Close(caller DomID, port EvtchnPort) error {
 	return nil
 }
 
-// freeLocked closes an endpoint and removes it from the port table: its
-// reusable timer is stopped and its waiters wake to ErrChannelClosed (a
-// timer callback already in flight only broadcasts the cond, which they
-// tolerate as a spurious wakeup). Called with ec.mu held.
+// freeLocked closes an endpoint and removes it from the port table; its
+// waiters wake to ErrChannelClosed. Called with ec.mu held.
 func (ec *EventChannels) freeLocked(port EvtchnPort, ch *evtchn) {
 	delete(ec.ports, port)
 	ch.state = chanClosed
-	if ch.timer != nil {
-		ch.timer.Stop()
-	}
 	ch.cond.Broadcast()
 }
 

@@ -2,103 +2,90 @@ package xen
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestWaitTimeoutExpiresWithoutConsuming(t *testing.T) {
-	h := newHost(t)
-	g := mkGuest(t, h, "g")
+// newBoundPair binds one guest↔dom0 channel and returns the guest's port and
+// dom0's.
+func newBoundPair(t *testing.T, h *Hypervisor, g *Domain) (EvtchnPort, EvtchnPort) {
+	t.Helper()
 	ec := h.EventChannels()
 	gPort := ec.AllocUnbound(g.ID(), Dom0)
 	d0Port, err := ec.BindInterdomain(Dom0, g.ID(), gPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ec.WaitTimeout(g.ID(), gPort, time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
-		t.Fatalf("wait err = %v, want ErrWaitTimeout", err)
-	}
-	// A pending event still satisfies a later timed wait in full.
-	if err := ec.Notify(Dom0, d0Port); err != nil {
-		t.Fatal(err)
-	}
-	if err := ec.WaitTimeout(g.ID(), gPort, time.Second); err != nil {
-		t.Fatalf("wait after notify: %v", err)
-	}
-	n, err := ec.Pending(g.ID(), gPort)
-	if err != nil || n != 0 {
-		t.Fatalf("pending = %d, %v, want 0", n, err)
-	}
+	return gPort, d0Port
 }
 
-func TestWaitTimeoutWokenByNotify(t *testing.T) {
-	h := newHost(t)
-	g := mkGuest(t, h, "g")
-	ec := h.EventChannels()
-	gPort := ec.AllocUnbound(g.ID(), Dom0)
-	d0Port, err := ec.BindInterdomain(Dom0, g.ID(), gPort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ec.WaitTimeout(g.ID(), gPort, 30*time.Second) }()
-	if err := ec.Notify(Dom0, d0Port); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("wait err = %v", err)
-	}
-}
-
-func TestWaitTimeoutSeesClose(t *testing.T) {
-	h := newHost(t)
-	g := mkGuest(t, h, "g")
-	ec := h.EventChannels()
-	gPort := ec.AllocUnbound(g.ID(), Dom0)
-	if _, err := ec.BindInterdomain(Dom0, g.ID(), gPort); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ec.WaitTimeout(g.ID(), gPort, 30*time.Second) }()
-	if err := ec.Close(g.ID(), gPort); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; !errors.Is(err, ErrChannelClosed) {
-		t.Fatalf("wait err = %v, want ErrChannelClosed", err)
-	}
-}
-
+// TestNotifyFaultDropsEvents checks the lost-notification fault: the sender
+// cannot tell, the event is dropped from immediate delivery — nothing is
+// pending on the peer at once — and lands notifyFaultDelay later, waking a
+// peer blocked in Wait.
 func TestNotifyFaultDropsEvents(t *testing.T) {
 	h := newHost(t)
 	g := mkGuest(t, h, "g")
 	ec := h.EventChannels()
-	gPort := ec.AllocUnbound(g.ID(), Dom0)
-	d0Port, err := ec.BindInterdomain(Dom0, g.ID(), gPort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop := true
-	ec.SetNotifyFault(func(DomID, EvtchnPort) bool { return drop })
-	// Dropped: Notify reports success (the sender cannot tell) but nothing
-	// becomes pending on the peer.
+	gPort, d0Port := newBoundPair(t, h, g)
+	var delay atomic.Bool
+	delay.Store(true)
+	ec.SetNotifyFault(func(DomID, EvtchnPort) bool { return delay.Load() })
+	defer ec.SetNotifyFault(nil)
+	start := time.Now()
 	if err := ec.Notify(Dom0, d0Port); err != nil {
-		t.Fatalf("dropped notify err = %v", err)
+		t.Fatalf("delayed notify err = %v", err)
 	}
-	if n, _ := ec.Pending(g.ID(), gPort); n != 0 {
-		t.Fatalf("pending after dropped notify = %d, want 0", n)
+	if n, _ := ec.Pending(g.ID(), gPort); n != 0 && time.Since(start) < notifyFaultDelay {
+		t.Fatalf("pending right after a delayed notify = %d, want 0", n)
 	}
 	if got := ec.DroppedNotifies(); got != 1 {
 		t.Fatalf("DroppedNotifies = %d, want 1", got)
 	}
-	// Delivery resumes once the hook stops dropping.
-	drop = false
+	if err := ec.Wait(g.ID(), gPort); err != nil {
+		t.Fatalf("wait for the delayed event: %v", err)
+	}
+	if el := time.Since(start); el < notifyFaultDelay {
+		t.Fatalf("delayed event landed after %v, before the %v delay", el, notifyFaultDelay)
+	}
+	// A second delayed event is pending only once the delay has passed.
 	if err := ec.Notify(Dom0, d0Port); err != nil {
 		t.Fatal(err)
 	}
+	time.Sleep(3 * notifyFaultDelay)
 	if n, _ := ec.Pending(g.ID(), gPort); n != 1 {
-		t.Fatalf("pending after clean notify = %d, want 1", n)
+		t.Fatalf("pending after the delay = %d, want 1", n)
 	}
-	ec.SetNotifyFault(nil)
+	// Delivery is immediate again once the hook stops delaying.
+	delay.Store(false)
+	if err := ec.Notify(Dom0, d0Port); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := ec.Pending(g.ID(), gPort); n != 2 {
+		t.Fatalf("pending after clean notify = %d, want 2", n)
+	}
+}
+
+// TestNotifyFaultEventSkipsClosedPort closes a channel while one of its
+// events is held back: the late event lands nowhere and harms nothing.
+func TestNotifyFaultEventSkipsClosedPort(t *testing.T) {
+	h := newHost(t)
+	g := mkGuest(t, h, "g")
+	ec := h.EventChannels()
+	gPort, d0Port := newBoundPair(t, h, g)
+	ec.SetNotifyFault(func(DomID, EvtchnPort) bool { return true })
+	defer ec.SetNotifyFault(nil)
+	if err := ec.Notify(Dom0, d0Port); err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.Close(g.ID(), gPort); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * notifyFaultDelay)
+	if _, err := ec.Pending(g.ID(), gPort); !errors.Is(err, ErrChannelClosed) {
+		t.Fatalf("pending on the closed port err = %v, want ErrChannelClosed", err)
+	}
 }
 
 func TestSuppressedNotifyStats(t *testing.T) {
@@ -115,20 +102,16 @@ func TestSuppressedNotifyStats(t *testing.T) {
 	}
 }
 
-// TestDroppedAndSuppressedDoorbellStillDrains models the batched-driver worst
-// case: the producer coalesces its doorbell away (NoteSuppressed, no Notify)
-// AND the one notify it does send is dropped by the fault hook. A consumer
-// blocked in WaitTimeout must still come back via the timeout so it can
-// re-check shared state — no event may be required for forward progress.
+// TestDroppedAndSuppressedDoorbellStillDrains models the driver worst case:
+// the producer coalesces one doorbell away (NoteSuppressed, no Notify) AND
+// the one notify it does send is caught by the fault hook. A consumer
+// blocked in Wait must still come back, on the late event, so it can
+// re-check shared state — a lost doorbell costs a stall, never a deadlock.
 func TestDroppedAndSuppressedDoorbellStillDrains(t *testing.T) {
 	h := newHost(t)
 	g := mkGuest(t, h, "g")
 	ec := h.EventChannels()
-	gPort := ec.AllocUnbound(g.ID(), Dom0)
-	d0Port, err := ec.BindInterdomain(Dom0, g.ID(), gPort)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gPort, d0Port := newBoundPair(t, h, g)
 	ec.SetNotifyFault(func(DomID, EvtchnPort) bool { return true })
 	defer ec.SetNotifyFault(nil)
 
@@ -140,17 +123,17 @@ func TestDroppedAndSuppressedDoorbellStillDrains(t *testing.T) {
 	if ec.DroppedNotifies() == 0 {
 		t.Fatal("notify was not dropped")
 	}
-	// Consumer: no event will ever arrive; the wait must return ErrWaitTimeout
-	// within the polling interval, not hang.
+	// Consumer: the one event arrives late; the wait must return on it,
+	// not hang.
 	done := make(chan error, 1)
-	go func() { done <- ec.WaitTimeout(g.ID(), gPort, 5*time.Millisecond) }()
+	go func() { done <- ec.Wait(g.ID(), gPort) }()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrWaitTimeout) {
-			t.Fatalf("wait err = %v, want ErrWaitTimeout", err)
+		if err != nil {
+			t.Fatalf("wait err = %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("WaitTimeout hung with all doorbells lost")
+		t.Fatal("Wait hung with every doorbell lost or suppressed")
 	}
 	if ec.SuppressedNotifies() != 1 {
 		t.Fatalf("suppressed = %d, want 1", ec.SuppressedNotifies())
@@ -172,10 +155,6 @@ func TestClosedPortsAreFreed(t *testing.T) {
 		d0Port, err := ec.BindInterdomain(Dom0, g.ID(), gPort)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Arm the port's reusable timer, as a polling driver does.
-		if err := ec.WaitTimeout(g.ID(), gPort, time.Microsecond); !errors.Is(err, ErrWaitTimeout) {
-			t.Fatalf("wait err = %v, want ErrWaitTimeout", err)
 		}
 		closer, port := g.ID(), gPort
 		if i%2 == 1 {

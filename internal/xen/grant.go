@@ -29,6 +29,38 @@ type grantTable struct {
 	owner *Domain
 	mu    sync.Mutex
 	ents  []grantEntry
+	// dead is set once the owner is destroyed. A page a peer still maps
+	// then outlives the domain, as a grant-pinned page does on Xen: the
+	// last Unmap of it scrubs it.
+	dead bool
+}
+
+// mappedLocked reports whether any grant of page is mapped. Called with
+// gt.mu held.
+func (gt *grantTable) mappedLocked(page int) bool {
+	for _, e := range gt.ents {
+		if e.page == page && e.mapCount > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// retire marks the owner destroyed and returns the pages peers still map,
+// which stay intact until their last Unmap. Taking the mapped set and
+// marking the table dead under one lock hand every page to exactly one
+// scrubber: destroy, or the Unmap that drops its last mapping.
+func (gt *grantTable) retire() map[int]bool {
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	gt.dead = true
+	mapped := make(map[int]bool)
+	for _, e := range gt.ents {
+		if e.mapCount > 0 {
+			mapped[e.page] = true
+		}
+	}
+	return mapped
 }
 
 func newGrantTable(owner *Domain) *grantTable {
@@ -127,6 +159,10 @@ func (h *Hypervisor) MapGrantRun(caller DomID, granter DomID, refs []GrantRef) (
 	}
 	gt := gd.grants
 	gt.mu.Lock()
+	if gt.dead {
+		gt.mu.Unlock()
+		return nil, fmt.Errorf("%w: dom%d", ErrNoSuchDomain, granter)
+	}
 	first := -1
 	ro := false
 	for i, ref := range refs {
@@ -169,11 +205,20 @@ func (h *Hypervisor) MapGrantRun(caller DomID, granter DomID, refs []GrantRef) (
 		bytes: run,
 		ro:    ro,
 		release: func() {
+			var scrub []int
 			gt.mu.Lock()
 			for _, ref := range held {
 				gt.ents[ref].mapCount--
 			}
+			if gt.dead {
+				for _, ref := range held {
+					if page := gt.ents[ref].page; !gt.mappedLocked(page) {
+						scrub = append(scrub, page)
+					}
+				}
+			}
 			gt.mu.Unlock()
+			gd.scrubPages(scrub)
 		},
 	}, nil
 }

@@ -136,8 +136,11 @@ func (h *Hypervisor) setState(caller, target DomID, from, to DomainState) error 
 	return nil
 }
 
-// DestroyDomain tears a domain down, scrubbing its memory and closing its
-// event channels. Dom0 cannot be destroyed.
+// DestroyDomain tears a domain down: it closes the domain's event channels
+// and scrubs its memory, as Xen does before freeing pages. A page another
+// domain still maps through a grant stays intact until that mapping's last
+// Unmap scrubs it, so a backend still reading the guest's ring never has it
+// zeroed underneath it. Dom0 cannot be destroyed.
 func (h *Hypervisor) DestroyDomain(caller, target DomID) error {
 	if err := h.requirePrivileged(caller); err != nil {
 		return err
@@ -156,9 +159,12 @@ func (h *Hypervisor) DestroyDomain(caller, target DomID) error {
 	h.evtchn.closeAllFor(target)
 	d.mu.Lock()
 	d.state = StateDestroyed
+	mapped := d.grants.retire()
 	d.bus.beginSnapshot()
-	for i := range d.slab {
-		d.slab[i] = 0 // scrub, as Xen does before freeing pages
+	for i, p := range d.pages {
+		if !mapped[i] {
+			clear(p)
+		}
 	}
 	d.bus.endSnapshot()
 	d.mu.Unlock()

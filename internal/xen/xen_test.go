@@ -530,3 +530,65 @@ func TestDomainsSortedListing(t *testing.T) {
 		}
 	}
 }
+
+// TestDestroyLeavesMappedPagesToLastUnmap checks grant-pinned pages: a
+// domain destroyed while dom0 maps two of its pages keeps those pages'
+// bytes until the last mapping goes, while every page nobody maps is
+// scrubbed at once. The last Unmap then scrubs the pinned pages, and the
+// dead domain's grants can no longer be mapped.
+func TestDestroyLeavesMappedPagesToLastUnmap(t *testing.T) {
+	h := newHost(t)
+	g := mkGuest(t, h, "g")
+	first, err := g.AllocPages(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := make([][]byte, 3)
+	for i := range pages {
+		if pages[i], err = g.Page(first + i); err != nil {
+			t.Fatal(err)
+		}
+		for j := range pages[i] {
+			pages[i][j] = byte(0xA0 + i)
+		}
+	}
+	refs, err := g.GrantRun(Dom0, first, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := h.MapGrantRun(Dom0, g.ID(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second mapping of the first page alone: that page stays pinned
+	// until both are gone.
+	head, err := h.MapGrant(Dom0, g.ID(), refs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.DestroyDomain(Dom0, g.ID()); err != nil {
+		t.Fatal(err)
+	}
+	allZero := func(p []byte) bool { return bytes.Count(p, []byte{0}) == len(p) }
+	if !allZero(pages[2]) {
+		t.Fatal("unmapped page not scrubbed at destroy")
+	}
+	if pages[0][0] != 0xA0 || pages[1][0] != 0xA1 || !bytes.Equal(ring.Bytes()[:PageSize], pages[0]) {
+		t.Fatal("page still mapped by dom0 was scrubbed at destroy")
+	}
+	if _, err := h.MapGrant(Dom0, g.ID(), refs[1]); err == nil {
+		t.Fatal("grant of a destroyed domain mapped")
+	}
+	ring.Unmap()
+	if !allZero(pages[1]) {
+		t.Fatal("page not scrubbed by its last Unmap")
+	}
+	if allZero(pages[0]) {
+		t.Fatal("page scrubbed while another mapping still holds it")
+	}
+	head.Unmap()
+	head.Unmap() // idempotent: scrubs nothing twice, panics on nothing
+	if !allZero(pages[0]) {
+		t.Fatal("page not scrubbed by its last Unmap")
+	}
+}

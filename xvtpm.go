@@ -144,22 +144,11 @@ type HostConfig struct {
 	TraceDepth      int
 	TraceSampleRate int
 	TraceSeed       int64
-	// PipelineDepth is how many commands each guest frontend keeps in flight
-	// on its ring at once. 0 or 1 selects strict request/response lockstep;
-	// larger values let concurrent guest callers overlap round trips. See
-	// vtpm.FrontendConfig.
-	PipelineDepth int
 	// Profile sets the default command profile for new vTPM instances on
 	// this host (AnyProfile means 1.2). Per-guest GuestConfig.Profile
 	// overrides it; the manager itself stays profile-agnostic, so a host
 	// runs a mixed 1.2/2.0 fleet regardless of this default.
 	Profile tpm.Profile
-	// EventLatency models the cost of delivering one event-channel doorbell
-	// (hypercall trap + upcall + peer scheduling on real Xen). Zero keeps
-	// delivery instantaneous. Benchmarks and experiments set it to study how
-	// ring batching and doorbell suppression amortize per-notify cost. See
-	// xen.EventChannels.SetNotifyLatency.
-	EventLatency time.Duration
 }
 
 // Host is one simulated physical machine.
@@ -177,7 +166,6 @@ type Host struct {
 	guard     vtpm.Guard
 	keys      *core.PlatformKeys // improved mode only
 	transport *vtpm.TransportMetrics
-	pipeDepth int
 	profile   tpm.Profile // default profile for new guests
 
 	mu        sync.Mutex
@@ -267,9 +255,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		dom0Pages = 4096 // 16 MiB of manager working memory
 	}
 	hv := xen.NewHypervisor(xen.DomainConfig{Name: "Domain-0", Pages: dom0Pages})
-	if cfg.EventLatency > 0 {
-		hv.EventChannels().SetNotifyLatency(cfg.EventLatency)
-	}
 	xs := xenstore.New()
 
 	var seed []byte
@@ -309,7 +294,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		Store:     store,
 		guests:    make(map[xen.DomID]*Guest),
 		transport: vtpm.NewTransportMetrics(),
-		pipeDepth: cfg.PipelineDepth,
 		profile:   cfg.Profile,
 	}
 	switch cfg.Mode {
@@ -385,17 +369,36 @@ func (h *Host) RegisterMetrics(reg *metrics.Registry) error {
 	return nil
 }
 
-// Close releases background resources, draining pending write-behind
-// checkpoints first, then flushes the improved guard's migration bind key
-// from the hardware TPM. A non-nil error means some instance's dirty state
-// could not be persisted (the aggregate names each one, joined with
-// errors.Join) — shutdown completed, but not silently.
+// Close releases background resources: it stops every guest's device
+// (StopDevices), drains pending write-behind checkpoints, then flushes the
+// improved guard's migration bind key from the hardware TPM. A non-nil error
+// means some instance's dirty state could not be persisted (the aggregate
+// names each one, joined with errors.Join) — shutdown completed, but not
+// silently.
 func (h *Host) Close() error {
+	h.StopDevices()
 	err := h.Manager.Close()
 	if h.keys != nil {
 		err = errors.Join(err, h.keys.Close())
 	}
 	return err
+}
+
+// StopDevices closes every guest's frontend and detaches every backend
+// device, so no device service loop outlives the host. The guests, their
+// instances and the store are left as they are. Safe to call more than
+// once.
+func (h *Host) StopDevices() {
+	h.mu.Lock()
+	guests := make([]*Guest, 0, len(h.guests))
+	for _, g := range h.guests {
+		guests = append(guests, g)
+	}
+	h.mu.Unlock()
+	for _, g := range guests {
+		g.Frontend.Close()
+	}
+	h.Backend.DetachAll()
 }
 
 // HostStats is a point-in-time operational snapshot for tooling.
@@ -496,10 +499,7 @@ func (h *Host) attachGuest(dom *xen.Domain, inst vtpm.InstanceID, grant bool) (*
 	if err != nil {
 		return nil, err
 	}
-	fe := vtpm.NewFrontendCfg(h.HV, h.XS, dom, codec, vtpm.FrontendConfig{
-		PipelineDepth: h.pipeDepth,
-		Metrics:       h.transport,
-	})
+	fe := vtpm.NewFrontend(h.HV, h.XS, dom, codec, h.transport)
 	if err := fe.Setup(); err != nil {
 		return nil, err
 	}
