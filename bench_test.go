@@ -161,26 +161,22 @@ func BenchmarkE4AttackMatrix(b *testing.B) {
 	for _, mode := range []xvtpm.Mode{xvtpm.ModeBaseline, xvtpm.ModeImproved} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			factory := func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
+			factory := func() (*xvtpm.Host, *xvtpm.Host, error) {
 				benchHostCtr++
 				h, err := xvtpm.NewHost(xvtpm.HostConfig{
 					Name: fmt.Sprintf("b4-%s-%d", mode, benchHostCtr), Mode: mode, RSABits: benchBits,
 				})
 				if err != nil {
-					return nil, nil, nil, err
-				}
-				g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "v", Kernel: []byte("vk")})
-				if err != nil {
-					return nil, nil, nil, err
+					return nil, nil, err
 				}
 				benchHostCtr++
 				peer, err := xvtpm.NewHost(xvtpm.HostConfig{
 					Name: fmt.Sprintf("b4p-%s-%d", mode, benchHostCtr), Mode: mode, RSABits: benchBits,
 				})
 				if err != nil {
-					return nil, nil, nil, err
+					return nil, nil, err
 				}
-				return h, g, peer, nil
+				return h, peer, nil
 			}
 			wantSuccess := mode == xvtpm.ModeBaseline
 			for i := 0; i < b.N; i++ {

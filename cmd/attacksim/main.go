@@ -20,29 +20,25 @@ import (
 	"xvtpm/internal/attack"
 )
 
-// factory boots seeded hosts under fixed names, so every run prints the same
-// evidence; the seed mixes in the name, so source and peer keep distinct
-// keys.
+// factory boots a seeded host pair under fixed names, so every run prints
+// the same evidence; the seed mixes in the name, so source and peer keep
+// distinct keys.
 func factory(mode xvtpm.Mode, bits int) attack.HostFactory {
 	seed := []byte("attacksim")
-	return func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
+	return func() (*xvtpm.Host, *xvtpm.Host, error) {
 		h, err := xvtpm.NewHost(xvtpm.HostConfig{
 			Name: "sim-" + mode.String(), Mode: mode, RSABits: bits, Seed: seed,
 		})
 		if err != nil {
-			return nil, nil, nil, err
-		}
-		g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "victim", Kernel: []byte("victim-kernel")})
-		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		peer, err := xvtpm.NewHost(xvtpm.HostConfig{
 			Name: "sim-peer-" + mode.String(), Mode: mode, RSABits: bits, Seed: seed,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return h, g, peer, nil
+		return h, peer, nil
 	}
 }
 

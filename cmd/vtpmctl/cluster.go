@@ -114,6 +114,13 @@ func (cc *clusterConsole) handle(line string) bool {
 		if st.Blackout.Count > 0 {
 			cc.printf("blackout per committed move: p50 %v  p99 %v (%d moves)\n",
 				st.Blackout.Quantile(0.50), st.Blackout.Quantile(0.99), st.Blackout.Count)
+			line := "mean phase per committed move:"
+			for p, h := range st.Phases {
+				if h.Count > 0 {
+					line += fmt.Sprintf(" %s %v", cluster.Phase(p), h.Sum/time.Duration(h.Count))
+				}
+			}
+			cc.printf("%s\n", line)
 		} else {
 			cc.printf("blackout: no committed moves yet\n")
 		}

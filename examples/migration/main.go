@@ -1,8 +1,9 @@
 // Live migration: move a guest and its vTPM between the two members of a
 // federation. The guest seals a secret on h0, migrates through the fenced
 // two-phase handoff (Cluster.Migrate), and unseals it on h1 — the vTPM
-// state travels intact. With the improved guard the state crosses between
-// hosts encrypted to h1's hardware-TPM-resident bind key; examples/attack-demo
+// state travels intact. The move ships h0's committed checkpoint; with the
+// improved guard it stays sealed under the federation's state root, which
+// each member took at join through its hardware TPM. examples/attack-demo
 // shows what an eavesdropper on that transfer sees in each mode.
 package main
 

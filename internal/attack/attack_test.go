@@ -14,26 +14,22 @@ var hostCtr int
 
 func factoryFor(t *testing.T, mode xvtpm.Mode) HostFactory {
 	t.Helper()
-	return func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
+	return func() (*xvtpm.Host, *xvtpm.Host, error) {
 		hostCtr++
 		h, err := xvtpm.NewHost(xvtpm.HostConfig{
 			Name: fmt.Sprintf("atk-%s-%d", mode, hostCtr), Mode: mode, RSABits: testBits,
 		})
 		if err != nil {
-			return nil, nil, nil, err
-		}
-		g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "victim", Kernel: []byte("victim-kernel")})
-		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		hostCtr++
 		peer, err := xvtpm.NewHost(xvtpm.HostConfig{
 			Name: fmt.Sprintf("atk-peer-%s-%d", mode, hostCtr), Mode: mode, RSABits: testBits,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return h, g, peer, nil
+		return h, peer, nil
 	}
 }
 

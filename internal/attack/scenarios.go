@@ -181,13 +181,31 @@ func StateTheft(h *xvtpm.Host, g *xvtpm.Guest, _ *xvtpm.Host) (Result, error) {
 	return r, nil
 }
 
+// quiesce stops the guest for a move as the cluster's fenced handoff does:
+// a forced checkpoint, then the device detach, unbind and domain save. It
+// returns the saved domain and the committed checkpoint — the bytes a move
+// ships between hosts.
+func quiesce(h *xvtpm.Host, g *xvtpm.Guest) (*xen.DomainImage, []byte, error) {
+	if err := h.Manager.Checkpoint(g.Instance); err != nil {
+		return nil, nil, err
+	}
+	domImg, err := h.BeginMigration(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	blob, err := h.Store.Get(vtpm.StateName(g.Instance))
+	if err != nil {
+		return nil, nil, err
+	}
+	return domImg, blob, nil
+}
+
 // MigIntercept migrates the guest to peer and scans the bytes that cross
-// between the hosts for plaintext TPM state. The source quiesces and
-// exports exactly as the cluster's fenced transfer leg does — the image
-// sealed to the peer's MigrationIdentity, then vtpm.EncodeInstanceImage —
-// and the eavesdropper reads that wire form in full before the peer decodes
-// and activates it. The fence and directory steps around the leg never
-// touch these bytes, so the capture is everything a tap on the link sees.
+// between the hosts for plaintext TPM state. The source quiesces as the
+// cluster's fenced handoff does, and the eavesdropper reads the committed
+// checkpoint the move ships in full before the peer adopts it and restores
+// the domain. The fence and directory steps around the ship never touch
+// these bytes, so the capture is everything a tap on the link sees.
 // Success criterion: the eavesdropper recovered vTPM state from the wire.
 func MigIntercept(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, error) {
 	if peer == nil {
@@ -196,21 +214,16 @@ func MigIntercept(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, erro
 	if err := provisionAndExercise(g); err != nil {
 		return Result{}, err
 	}
-	domImg, err := h.BeginMigration(g)
+	domImg, wire, err := quiesce(h, g)
 	if err != nil {
 		return Result{}, err
 	}
-	img, err := h.Manager.ExportInstance(g.Instance, peer.MigrationIdentity())
-	if err != nil {
-		return Result{}, err
-	}
-	wire := vtpm.EncodeInstanceImage(img)
 	found := ScanBytes(wire, []Probe{StateMagicProbe})
-	rimg, err := vtpm.DecodeInstanceImage(wire)
+	id, err := peer.Manager.AdoptCheckpoint(g.Instance, wire)
 	if err != nil {
 		return Result{}, err
 	}
-	if _, err := peer.ReceiveImage(domImg, rimg); err != nil {
+	if _, err := peer.AttachMigrated(domImg, id); err != nil {
 		return Result{}, err
 	}
 	if err := h.FinishMigration(g); err != nil {
@@ -225,12 +238,14 @@ func MigIntercept(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, erro
 	return r, nil
 }
 
-// MigTamper modifies the vTPM state envelope while it crosses the migration
-// channel. The flipped byte lands inside the serialized PCR bank: with
-// plaintext state the destination imports the corrupted instance without
+// MigTamper modifies the shipped checkpoint while it crosses between the
+// hosts. The flipped byte lands inside the serialized PCR bank: with
+// plaintext state the destination adopts the corrupted instance without
 // noticing (the guest now attests to measurements it never made); with the
-// improved guard's MACed envelope the import fails closed. Success
-// criterion: the destination accepted the tampered instance.
+// improved guard's MACed envelope the adoption fails closed. The untampered
+// checkpoint must then still adopt, so a block is the MAC's doing, not a
+// peer that could never open it. Success criterion: the destination
+// accepted the tampered instance.
 func MigTamper(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, error) {
 	if peer == nil {
 		return Result{}, fmt.Errorf("attack: migration tamper needs a peer host")
@@ -238,32 +253,30 @@ func MigTamper(h *xvtpm.Host, g *xvtpm.Guest, peer *xvtpm.Host) (Result, error) 
 	if err := provisionAndExercise(g); err != nil {
 		return Result{}, err
 	}
-	inst := g.Instance
-	g.Frontend.Close()
-	if err := h.Backend.DetachDevice(g.Dom.ID()); err != nil {
-		return Result{}, err
-	}
-	if err := h.Manager.UnbindInstance(inst); err != nil {
-		return Result{}, err
-	}
-	img, err := h.Manager.ExportInstance(inst, peer.Guard().MigrationIdentity())
+	_, blob, err := quiesce(h, g)
 	if err != nil {
 		return Result{}, err
 	}
-	// Flip one byte well inside the payload — past the header, inside the
-	// PCR bank of a plaintext blob.
-	tampered := append([]byte(nil), img.StateEnvelope...)
-	if len(tampered) < 64 {
+	_, envelope, err := vtpm.UnwrapCheckpoint(blob)
+	if err != nil {
+		return Result{}, err
+	}
+	if len(envelope) < 64 {
 		return Result{}, fmt.Errorf("attack: envelope too small to tamper")
 	}
-	tampered[40] ^= 0xFF
-	forged := &vtpm.InstanceImage{Launch: img.Launch, StateEnvelope: tampered}
-	_, importErr := peer.Manager.ImportInstance(forged)
+	// Flip one byte well inside the envelope — past the header, inside the
+	// PCR bank of a plaintext blob.
+	tampered := append([]byte(nil), blob...)
+	tampered[len(blob)-len(envelope)+40] ^= 0xFF
+	_, adoptErr := peer.Manager.AdoptCheckpoint(g.Instance, tampered)
+	if _, err := peer.Manager.AdoptCheckpoint(g.Instance, blob); err != nil {
+		return Result{}, fmt.Errorf("attack: the peer refuses the untampered checkpoint too: %w", err)
+	}
 	r := Result{
 		Kind:      KindMigTamper,
 		Guard:     h.Guard().Name(),
-		Succeeded: importErr == nil,
-		Detail:    fmt.Sprintf("destination import err=%v", importErr),
+		Succeeded: adoptErr == nil,
+		Detail:    fmt.Sprintf("destination adoption err=%v", adoptErr),
 	}
 	return r, nil
 }
@@ -278,28 +291,45 @@ var Scenarios = map[Kind]Scenario{
 	KindMigTamper:    MigTamper,
 }
 
-// HostFactory builds a fresh (host, guest, peer) triple for one scenario
-// run; every scenario gets a pristine environment.
-type HostFactory func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error)
+// HostFactory builds a fresh pair of hosts for one scenario run — the
+// victim's host and its migration peer — so every scenario gets a pristine
+// environment.
+type HostFactory func() (h, peer *xvtpm.Host, err error)
 
-// RunMatrix executes every scenario against hosts from the factory and
-// returns the matrix rows in Kinds order.
+// federationMaster is the state root every scenario pair shares: a move
+// ships the committed checkpoint sealed under it.
+var federationMaster = sha1.Sum([]byte("attack-federation"))
+
+// RunMatrix executes every scenario against host pairs from the factory and
+// returns the matrix rows in Kinds order. Each pair joins one federation
+// at boot, before the victim guest exists on the first host, as a cluster's
+// members do.
 func RunMatrix(factory HostFactory) ([]Result, error) {
 	var results []Result
 	for _, kind := range Kinds {
-		h, g, peer, err := factory()
+		h, peer, err := factory()
 		if err != nil {
-			return nil, fmt.Errorf("attack: building host for %s: %w", kind, err)
+			return nil, fmt.Errorf("attack: building hosts for %s: %w", kind, err)
 		}
-		res, err := Scenarios[kind](h, g, peer)
+		res, err := runScenario(kind, h, peer)
+		h.Close()
+		peer.Close()
 		if err != nil {
 			return nil, fmt.Errorf("attack: running %s: %w", kind, err)
 		}
 		results = append(results, res)
-		h.Close()
-		if peer != nil {
-			peer.Close()
-		}
 	}
 	return results, nil
+}
+
+// runScenario federates one host pair, creates the victim and runs kind.
+func runScenario(kind Kind, h, peer *xvtpm.Host) (Result, error) {
+	if err := xvtpm.Federate(federationMaster[:16], h, peer); err != nil {
+		return Result{}, err
+	}
+	g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "victim", Kernel: []byte("victim-kernel")})
+	if err != nil {
+		return Result{}, err
+	}
+	return Scenarios[kind](h, g, peer)
 }

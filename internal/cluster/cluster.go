@@ -1,8 +1,9 @@
 // Package cluster federates N simulated hosts behind a generation-fenced
 // placement directory (DESIGN.md §12): every guest key maps to exactly one
 // owning host at an ownership epoch, every cross-host migration is a
-// two-phase fenced handoff over the export/import envelope path, and any
-// mid-handoff failure rolls back deterministically to exactly one owner.
+// two-phase fenced handoff that ships the source's committed checkpoint,
+// and any mid-handoff failure rolls back deterministically to exactly one
+// owner.
 // On top of the handoff primitive sit Drain — evacuating a host's whole
 // fleet through a bounded-concurrency pipeline while guests keep
 // dispatching (the pause window is per instance, never per host) — and a
@@ -22,7 +23,6 @@ import (
 	"xvtpm/internal/faults"
 	"xvtpm/internal/metrics"
 	"xvtpm/internal/store/logstore"
-	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 )
 
@@ -93,15 +93,20 @@ type Cluster struct {
 	migRetried   metrics.Counter
 	evacuated    metrics.Counter
 	blackout     *metrics.Histogram
+	phases       [NumPhases]*metrics.Histogram
 }
 
 // New boots a federation: the shared checkpoint log, the placement
 // directory, one host per member writing through its fenced prefix, and —
 // in improved mode — a cluster state-key master delivered to each member
-// wrapped to its hardware-TPM migration bind key, so every member can open
-// every member's committed checkpoints (the evacuation path) while channel
-// keys stay host-local.
-func New(cfg Config) (*Cluster, error) {
+// wrapped to its hardware-TPM bind key (xvtpm.Federate), so every member
+// can open every member's committed checkpoints (the move and evacuation
+// paths) while channel keys stay host-local.
+func New(cfg Config) (*Cluster, error) { return boot(cfg, nil) }
+
+// boot is New with tweak, when set, adjusting every member's HostConfig:
+// the seam a test uses to run members under another checkpoint policy.
+func boot(cfg Config, tweak func(*xvtpm.HostConfig)) (*Cluster, error) {
 	n := cfg.Hosts
 	if n == 0 {
 		n = 3
@@ -118,6 +123,9 @@ func New(cfg Config) (*Cluster, error) {
 		byName:   make(map[string]*Member),
 		recs:     make(map[string]*record),
 		blackout: metrics.NewHistogram(nil),
+	}
+	for p := range c.phases {
+		c.phases[p] = metrics.NewHistogram(nil)
 	}
 	// The federation master: a cluster-wide secret state-envelope keys
 	// derive from. Deterministic under a seeded cluster so experiments
@@ -137,28 +145,26 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.Seed != nil {
 			seed = append(append([]byte(nil), cfg.Seed...), []byte("|"+name)...)
 		}
-		h, err := xvtpm.NewHost(xvtpm.HostConfig{
+		hc := xvtpm.HostConfig{
 			Name:      name,
 			Mode:      cfg.Mode,
 			RSABits:   cfg.RSABits,
 			Seed:      seed,
 			Dom0Pages: cfg.Dom0Pages,
 			Store:     fs,
-		})
+		}
+		if tweak != nil {
+			tweak(&hc)
+		}
+		h, err := xvtpm.NewHost(hc)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: booting %s: %w", name, err)
 		}
-		if fedMaster != nil {
-			// The join must precede any protected instance state; members
-			// are freshly booted here, so nothing is sealed under the
-			// host-local master yet.
-			wrapped, err := tpm.BindEncrypt(nil, h.MigrationIdentity(), fedMaster)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: wrapping federation master for %s: %w", name, err)
-			}
-			if err := h.FederationJoin(wrapped); err != nil {
-				return nil, fmt.Errorf("cluster: %s joining federation: %w", name, err)
-			}
+		// The join must precede any protected instance state; members are
+		// freshly booted here, so nothing is sealed under the host-local
+		// master yet.
+		if err := xvtpm.Federate(fedMaster, h); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		m := &Member{Name: name, Host: h, fs: fs, fail: Alive, lastBeat: now}
 		c.members = append(c.members, m)
@@ -330,9 +336,12 @@ type Stats struct {
 	MigRetried   uint64
 	Evacuated    uint64
 	// Blackout is the per-instance guest-visible pause distribution across
-	// committed migrations (fence → destination reattached).
+	// committed migrations (fence → ownership committed).
 	Blackout metrics.HistogramSnapshot
-	Members  []MemberStats
+	// Phases splits committed migrations by step, indexed by Phase: each
+	// move's quiesce, ship, revive, attach, verify and commit times.
+	Phases  [NumPhases]metrics.HistogramSnapshot
+	Members []MemberStats
 }
 
 // MemberStats is one member's slice of the snapshot.
@@ -357,6 +366,9 @@ func (c *Cluster) ClusterStats() Stats {
 		MigRetried:   c.migRetried.Load(),
 		Evacuated:    c.evacuated.Load(),
 		Blackout:     c.blackout.Snapshot(),
+	}
+	for p, h := range c.phases {
+		s.Phases[p] = h.Snapshot()
 	}
 	for _, m := range c.members {
 		s.Members = append(s.Members, MemberStats{
@@ -389,6 +401,12 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry) error {
 		"guest-visible pause per committed migration", c.blackout); err != nil {
 		return err
 	}
+	for p, h := range c.phases {
+		if err := reg.RegisterHistogram("cluster_migration_"+Phase(p).String()+"_ns",
+			"committed migrations' "+Phase(p).String()+" phase", h); err != nil {
+			return err
+		}
+	}
 	return reg.RegisterGaugeFunc("cluster_store_rejects",
 		"writes the epoch fence refused, summed over members", func() float64 {
 			var n uint64
@@ -406,9 +424,10 @@ func (c *Cluster) Close() error {
 		if c.failStateOf(m) == Condemned {
 			// A condemned member's store is sealed; its final flush can only
 			// fail, and its state has already been adopted elsewhere. Its
-			// devices still stop, so no service loop outlives the cluster.
-			m.Host.StopDevices()
-			continue
+			// manager halts without one, so Close below stops its devices and
+			// flushes its bind key but persists nothing, and none of its
+			// goroutines outlives the cluster.
+			m.Host.Manager.Halt()
 		}
 		if err := m.Host.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", m.Name, err))

@@ -607,16 +607,7 @@ func TestClusterMovesLeaveNoXenstoreResidue(t *testing.T) {
 // so after each close the process is back to the goroutines it had before
 // the first boot: no device service loop outlives its cluster.
 func TestCloseStopsEveryDevice(t *testing.T) {
-	settle := func(want int) int {
-		deadline := time.Now().Add(5 * time.Second)
-		n := runtime.NumGoroutine()
-		for n > want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-			n = runtime.NumGoroutine()
-		}
-		return n
-	}
-	before := settle(0)
+	before := settleGoroutines(0)
 	for cycle := 0; cycle < 3; cycle++ {
 		c, err := New(Config{Hosts: 2, Mode: xvtpm.ModeImproved, RSABits: 512, Seed: []byte("close-cycle")})
 		if err != nil {
@@ -636,7 +627,7 @@ func TestCloseStopsEveryDevice(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatalf("cycle %d: Close: %v", cycle, err)
 		}
-		if n := settle(before); n > before {
+		if n := settleGoroutines(before); n > before {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("cycle %d: %d goroutines after Close, %d before the first boot\n%s",
 				cycle, n, before, buf[:runtime.Stack(buf, true)])
@@ -644,9 +635,24 @@ func TestCloseStopsEveryDevice(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits up to five seconds for the process to be back at
+// want goroutines or fewer, and returns the count it saw last.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 // TestCloseStopsCondemnedMemberDevices checks that Close, which skips a
-// condemned member's final flush, still detaches that member's devices.
+// condemned member's final flush, still detaches that member's devices and
+// stops its manager's background work: the process is back to the
+// goroutines it had before the boot.
 func TestCloseStopsCondemnedMemberDevices(t *testing.T) {
+	before := settleGoroutines(0)
 	c, err := New(Config{Hosts: 2, Mode: xvtpm.ModeImproved, RSABits: 512, Seed: []byte("close-condemned")})
 	if err != nil {
 		t.Fatal(err)
@@ -672,5 +678,9 @@ func TestCloseStopsCondemnedMemberDevices(t *testing.T) {
 		if m.Host.Backend.Connected(g.Dom.ID()) {
 			t.Fatalf("guest %s still has a device on the condemned member after Close", g.Name)
 		}
+	}
+	if n := settleGoroutines(before); n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before the boot\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -17,33 +17,59 @@ import (
 // applied per verdict at the injection site).
 var errTransferFault = errors.New("cluster: transfer leg failed")
 
-// ErrMigrationDiverged reports that the destination's imported vTPM did not
+// ErrMigrationDiverged reports that the destination's revived vTPM did not
 // match the source's PCR bank — the source copy is preserved and the
 // destination copy destroyed.
 var ErrMigrationDiverged = errors.New("cluster: migrated vTPM diverged from source PCR bank")
 
+// Phase is one step of a move; Migrate times each one of every committed
+// move into its own histogram (Stats.Phases).
+type Phase int
+
+// The six phases of a move, in order.
+const (
+	PhaseQuiesce Phase = iota
+	PhaseShip
+	PhaseRevive
+	PhaseAttach
+	PhaseVerify
+	PhaseCommit
+	// NumPhases counts the phases.
+	NumPhases
+)
+
+var phaseNames = [NumPhases]string{"quiesce", "ship", "revive", "attach", "verify", "commit"}
+
+// String implements fmt.Stringer.
+func (p Phase) String() string { return phaseNames[p] }
+
 // Migrate moves one guest to dst through the fenced two-phase handoff:
 //
 //  1. Quiesce: the source instance is fenced (dispatch rejected with a
-//     redirect) and its pending write-behind checkpoints flushed at the
-//     current epoch.
-//  2. Open: the directory bumps the epoch and enters Moving; the fence and
-//     the instance are re-stamped with the move epoch.
-//  3. Transfer: the guard-protected vTPM image travels as
-//     vtpm.EncodeInstanceImage bytes (bounded retry/backoff/deadline and the
-//     OpTransfer chaos hook per attempt); the saved domain image is handed
-//     over in memory.
-//  4. Verify + activate: the destination imports, and its PCR bank must
-//     equal the quiesced source's before anything else happens.
-//  5. Commit: the directory flips ownership, the destination's checkpoint
-//     name is bound (epoch-checked from then on), and only then do the
-//     source copies die.
+//     redirect) and checkpointed at the current epoch — the checkpoint the
+//     move ships. The directory then bumps the epoch and enters Moving, the
+//     fence and the instance are re-stamped with the move epoch, and the
+//     domain is saved.
+//  2. Ship: the coordinator reads that committed checkpoint from the shared
+//     log under the source's prefix, as evacuation reads a dead member's
+//     (bounded retry/backoff/deadline and the OpTransfer chaos hook per
+//     attempt). The envelope is the at-rest seal under the federation's
+//     state root; the saved domain image is handed over in memory.
+//  3. Revive: the destination adopts the checkpoint — it opens the envelope,
+//     restores the engine and checkpoints the instance locally.
+//  4. Attach: the saved domain is restored and the guest's device attached.
+//  5. Verify: the destination's PCR bank must equal the quiesced source's
+//     before anything else happens; then the move epoch is stamped on the
+//     instance, its checkpoint name is bound (epoch-checked from then on)
+//     and its first fenced checkpoint written.
+//  6. Commit: the directory flips ownership, and only then do the source
+//     copies die.
 //
-// Any failure after step 2 rolls back deterministically: the directory
-// aborts the move at a fresh epoch (fencing off straggler writes stamped
-// with the move epoch), the destination copy is destroyed, and the source
-// guest is restored, unfenced and re-checkpointed — exactly one live owner
-// on every path.
+// Any failure after the epoch moves rolls back deterministically: the
+// directory aborts the move at a fresh epoch (fencing off straggler writes
+// stamped with the move epoch), the destination copy is destroyed, and the
+// source guest is restored, unfenced and re-checkpointed — exactly one live
+// owner on every path.
 func (c *Cluster) Migrate(key, dstName string) error {
 	rec, err := c.record(key)
 	if err != nil {
@@ -75,12 +101,18 @@ func (c *Cluster) Migrate(key, dstName string) error {
 
 	c.migStarted.Inc()
 	start := time.Now()
+	var took [NumPhases]time.Duration
+	mark := start
+	done := func(p Phase) {
+		now := time.Now()
+		took[p], mark = now.Sub(mark), now
+	}
 
 	// 1. Quiesce before the epoch moves: fence (the redirect's epoch is
 	// refined once the move is open), drain the in-flight dispatch, and
-	// flush pending write-behind work while the current epoch still admits
-	// this member's writes — so no checkpoint is ever in flight with a
-	// stale stamp once the directory bumps.
+	// commit the checkpoint the move ships while the current epoch still
+	// admits this member's writes — so no checkpoint is ever in flight with
+	// a stale stamp once the directory bumps.
 	if err := src.Host.Manager.FenceInstance(g.Instance, dstName, 0); err != nil {
 		return err
 	}
@@ -88,8 +120,6 @@ func (c *Cluster) Migrate(key, dstName string) error {
 		src.Host.Manager.UnfenceInstance(g.Instance) //nolint:errcheck // fence rollback
 		return fmt.Errorf("cluster: pre-move flush of %q: %w", key, err)
 	}
-
-	// 2. Open the move.
 	epoch, err := c.dir.BeginMove(key, srcName, dstName)
 	if err != nil {
 		src.Host.Manager.UnfenceInstance(g.Instance) //nolint:errcheck // fence rollback
@@ -99,7 +129,6 @@ func (c *Cluster) Migrate(key, dstName string) error {
 	if err := src.Host.Manager.SetEpoch(g.Instance, epoch); err != nil {
 		return c.rollback(rec, src, g, nil, epoch, err)
 	}
-
 	domImg, err := src.Host.BeginMigration(g)
 	if err != nil {
 		return c.rollback(rec, src, g, nil, epoch, err)
@@ -108,16 +137,12 @@ func (c *Cluster) Migrate(key, dstName string) error {
 	if err != nil {
 		return c.rollback(rec, src, g, domImg, epoch, err)
 	}
-	img, err := src.Host.Manager.ExportInstance(g.Instance, dst.Host.MigrationIdentity())
-	if err != nil {
-		return c.rollback(rec, src, g, domImg, epoch, err)
-	}
-	img.Epoch = epoch // the destination's first checkpoint must carry the move epoch
-	enc := vtpm.EncodeInstanceImage(img)
+	done(PhaseQuiesce)
 
-	// 3. The transfer leg: wire-format round trip under bounded retry, with
-	// the chaos injector deciding each attempt's fate.
-	var rimg *vtpm.InstanceImage
+	// 2. Ship the committed checkpoint, with the chaos injector deciding
+	// each attempt's fate.
+	committed := src.fs.qualify(vtpm.StateName(g.Instance))
+	var blob []byte
 	err = c.retry.Do("transfer", func(attempt int) error {
 		if attempt > 1 {
 			c.migRetried.Inc()
@@ -131,22 +156,34 @@ func (c *Cluster) Migrate(key, dstName string) error {
 				return faults.Transient(fmt.Errorf("%w: torn mid-flight, %s→%s", errTransferFault, srcName, dstName))
 			}
 		}
-		var derr error
-		rimg, derr = vtpm.DecodeInstanceImage(enc)
-		return derr
+		var gerr error
+		blob, gerr = c.shared.Get(committed)
+		return gerr
 	})
 	if err != nil {
 		return c.rollback(rec, src, g, domImg, epoch, err)
 	}
+	done(PhaseShip)
 
-	// 4. Activate and verify.
-	g2, err := dst.Host.ReceiveImage(domImg, rimg)
+	// 3. Revive and 4. attach.
+	id, err := dst.Host.Manager.AdoptCheckpoint(g.Instance, blob)
 	if err != nil {
 		return c.rollback(rec, src, g, domImg, epoch, err)
 	}
+	done(PhaseRevive)
+	g2, err := dst.Host.AttachMigrated(domImg, id)
+	if err != nil {
+		return c.rollback(rec, src, g, domImg, epoch, err)
+	}
+	done(PhaseAttach)
+
+	// 5. Verify, then arm the durable fence on the destination copy.
 	dstPCRs, err := dst.Host.Manager.PCRDigest(g2.Instance)
 	if err == nil && dstPCRs != srcPCRs {
 		err = ErrMigrationDiverged
+	}
+	if err == nil {
+		err = dst.Host.Manager.SetEpoch(g2.Instance, epoch)
 	}
 	if err == nil {
 		dst.fs.bind(vtpm.StateName(g2.Instance), key)
@@ -159,8 +196,9 @@ func (c *Cluster) Migrate(key, dstName string) error {
 		dst.Host.DestroyGuest(g2) //nolint:errcheck // discarding the unverified copy
 		return c.rollback(rec, src, g, domImg, epoch, err)
 	}
+	done(PhaseVerify)
 
-	// 5. Commit. After this, the source is a bystander: its copy dies, but
+	// 6. Commit. After this, the source is a bystander: its copy dies, but
 	// even if teardown fails the directory and the epoch fence already
 	// exclude it.
 	if err := c.dir.CommitMove(key, dstName, g2.Instance, epoch); err != nil {
@@ -175,7 +213,12 @@ func (c *Cluster) Migrate(key, dstName string) error {
 	c.migCommitted.Inc()
 
 	src.fs.unbind(vtpm.StateName(g.Instance))
-	if err := src.Host.FinishMigration(g); err != nil {
+	err = src.Host.FinishMigration(g)
+	done(PhaseCommit)
+	for p, d := range took {
+		c.phases[p].Record(d)
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: source teardown after committed move of %q: %w", key, err)
 	}
 	return nil

@@ -20,7 +20,7 @@ import (
 // writes die here no matter what its manager believes about ownership.
 //
 // Names not (yet) bound to a key pass through unchecked: the manager
-// persists an instance at creation and at import before the cluster has
+// persists an instance at creation and at adoption before the cluster has
 // bound it, and those writes are the member's own private names.
 
 // errZombieWrite is the root of every fenced-store rejection. Rejections

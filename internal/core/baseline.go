@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/rsa"
 	"fmt"
 
 	"xvtpm/internal/vtpm"
@@ -49,19 +48,6 @@ func (*BaselineGuard) ProtectState(inst vtpm.InstanceInfo, dst, state []byte) ([
 func (*BaselineGuard) RecoverState(inst vtpm.InstanceInfo, blob []byte) ([]byte, error) {
 	return append([]byte(nil), blob...), nil
 }
-
-// ExportState implements vtpm.Guard: raw state on the wire.
-func (*BaselineGuard) ExportState(inst vtpm.InstanceInfo, state []byte, destEK *rsa.PublicKey) ([]byte, error) {
-	return append([]byte(nil), state...), nil
-}
-
-// ImportState implements vtpm.Guard.
-func (*BaselineGuard) ImportState(blob []byte) ([]byte, error) {
-	return append([]byte(nil), blob...), nil
-}
-
-// MigrationIdentity implements vtpm.Guard: no transfer protection.
-func (*BaselineGuard) MigrationIdentity() *rsa.PublicKey { return nil }
 
 // RetainsPlaintext implements vtpm.Guard: the stock manager's buffers
 // lingered.

@@ -361,7 +361,7 @@ func TestPlatformReopenUnsealsMaster(t *testing.T) {
 	if !bytes.Equal(re.InstanceKey(3), keys.InstanceKey(3)) {
 		t.Fatal("reopened platform derives different keys")
 	}
-	if re.MigrationPub() == nil || re.MigrationPub().N.Cmp(keys.MigrationPub().N) != 0 {
+	if re.BindPub() == nil || re.BindPub().N.Cmp(keys.BindPub().N) != 0 {
 		t.Fatal("bind key lost across reopen")
 	}
 }
@@ -392,47 +392,54 @@ func loadedKeys(t testing.TB, cli *tpm.Client) uint32 {
 	return n
 }
 
-// bindTo OAEP-encrypts a 16-byte KEK derived from label to keys' bind key.
-func bindTo(t testing.TB, keys *PlatformKeys, label string) (kek, enc []byte) {
+// bindTo OAEP-encrypts a 16-byte federation master derived from label to
+// keys' bind key.
+func bindTo(t testing.TB, keys *PlatformKeys, label string) (master, enc []byte) {
 	t.Helper()
-	kek = deriveBytes([]byte("kek"), label)[:16]
-	enc, err := tpm.BindEncrypt(nil, keys.MigrationPub(), kek)
+	master = deriveBytes([]byte("fed-master"), label)[:16]
+	enc, err := tpm.BindEncrypt(nil, keys.BindPub(), master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kek, enc
+	return master, enc
 }
 
-// TestMigrationKekUnbind: the bind key stays loaded, so every unbind is
-// exactly one OIAP and one TPM_UnBind — no LoadKey2 or FlushSpecific per
-// call — and the hardware TPM holds exactly that one key across unbinds and
-// across a reopen.
-func TestMigrationKekUnbind(t *testing.T) {
+// joinedMaster returns the federation master keys last joined with.
+func joinedMaster(keys *PlatformKeys) []byte {
+	keys.stateMu.Lock()
+	defer keys.stateMu.Unlock()
+	return append([]byte(nil), keys.fedMaster...)
+}
+
+// TestBindKeyUnbindPerJoin: the bind key stays loaded, so every join is
+// exactly one OIAP and one TPM_UnBind of the wrapped master — no LoadKey2 or
+// FlushSpecific per call — and the hardware TPM holds exactly that one key
+// across joins and across a reopen.
+func TestBindKeyUnbindPerJoin(t *testing.T) {
 	cli, keys := newPlatform(t, "p4")
-	kek, enc := bindTo(t, keys, "x")
-	unbind100 := func(pk *PlatformKeys) {
+	master, enc := bindTo(t, keys, "x")
+	join100 := func(pk *PlatformKeys) {
 		t.Helper()
 		if n := loadedKeys(t, cli); n != 1 {
-			t.Fatalf("%d keys loaded before unbinding, want 1", n)
+			t.Fatalf("%d keys loaded before joining, want 1", n)
 		}
 		for i := 0; i < 100; i++ {
 			before := hwCommands(cli)
-			got, err := pk.UnbindMigrationKek(enc)
-			if err != nil {
-				t.Fatalf("UnbindMigrationKek %d: %v", i, err)
+			if err := pk.JoinFederation(enc); err != nil {
+				t.Fatalf("JoinFederation %d: %v", i, err)
 			}
-			if !bytes.Equal(got, kek) {
-				t.Fatalf("unbind %d: kek mismatch", i)
+			if !bytes.Equal(joinedMaster(pk), master) {
+				t.Fatalf("join %d: master mismatch", i)
 			}
 			if n := hwCommands(cli) - before; n != 2 {
-				t.Fatalf("unbind %d cost %d hardware commands, want 2 (OIAP, UnBind)", i, n)
+				t.Fatalf("join %d cost %d hardware commands, want 2 (OIAP, UnBind)", i, n)
 			}
 		}
 		if n := loadedKeys(t, cli); n != 1 {
-			t.Fatalf("%d keys loaded after 100 unbinds, want 1", n)
+			t.Fatalf("%d keys loaded after 100 joins, want 1", n)
 		}
 	}
-	unbind100(keys)
+	join100(keys)
 	// A manager restart: the old keys are closed, the reopened ones load
 	// the same bind key again.
 	if err := keys.Close(); err != nil {
@@ -442,26 +449,25 @@ func TestMigrationKekUnbind(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReopenPlatformKeys: %v", err)
 	}
-	unbind100(re)
+	join100(re)
 }
 
-// TestBindKeyConcurrentUnbind: many goroutines share the one resident key.
+// TestBindKeyConcurrentUnbind: many goroutines joining at once share the one
+// resident key, and the master left installed is one of theirs.
 func TestBindKeyConcurrentUnbind(t *testing.T) {
 	cli, keys := newPlatform(t, "concurrent")
 	const workers = 16
 	errs := make(chan error, workers)
+	masters := make(map[string]bool)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		kek, enc := bindTo(t, keys, fmt.Sprint("concurrent-", w))
+		master, enc := bindTo(t, keys, fmt.Sprint("concurrent-", w))
+		masters[string(master)] = true
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				got, err := keys.UnbindMigrationKek(enc)
-				if err == nil && !bytes.Equal(got, kek) {
-					err = errors.New("kek mismatch")
-				}
-				if err != nil {
+				if err := keys.JoinFederation(enc); err != nil {
 					errs <- err
 					return
 				}
@@ -471,19 +477,22 @@ func TestBindKeyConcurrentUnbind(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("concurrent unbind: %v", err)
+		t.Fatalf("concurrent join: %v", err)
+	}
+	if !masters[string(joinedMaster(keys))] {
+		t.Fatal("installed master is none of the joined ones")
 	}
 	if n := loadedKeys(t, cli); n != 1 {
-		t.Fatalf("%d keys loaded after concurrent unbinds, want 1", n)
+		t.Fatalf("%d keys loaded after concurrent joins, want 1", n)
 	}
 }
 
-// TestPlatformKeysClose: unbinds racing Close either open the KEK or fail,
-// none reaches another key; Close flushes the bind key, a second Close is a
-// no-op, and an unbind afterwards fails.
+// TestPlatformKeysClose: joins racing Close either install the master or
+// fail, none reaches another key; Close flushes the bind key, a second
+// Close is a no-op, and a join afterwards fails.
 func TestPlatformKeysClose(t *testing.T) {
 	cli, keys := newPlatform(t, "close")
-	kek, enc := bindTo(t, keys, "close")
+	master, enc := bindTo(t, keys, "close")
 	const workers = 8
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -492,8 +501,8 @@ func TestPlatformKeysClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if got, err := keys.UnbindMigrationKek(enc); err == nil && !bytes.Equal(got, kek) {
-					errs <- errors.New("kek mismatch")
+				if err := keys.JoinFederation(enc); err == nil && !bytes.Equal(joinedMaster(keys), master) {
+					errs <- errors.New("master mismatch")
 					return
 				}
 			}
@@ -505,7 +514,7 @@ func TestPlatformKeysClose(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("unbind racing Close: %v", err)
+		t.Fatalf("join racing Close: %v", err)
 	}
 	if n := loadedKeys(t, cli); n != 0 {
 		t.Fatalf("%d keys loaded after Close, want 0", n)
@@ -513,11 +522,11 @@ func TestPlatformKeysClose(t *testing.T) {
 	if err := keys.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := keys.UnbindMigrationKek(enc); err == nil {
-		t.Fatal("unbind after Close succeeded")
+	if err := keys.JoinFederation(enc); err == nil {
+		t.Fatal("join after Close succeeded")
 	}
 	if n := loadedKeys(t, cli); n != 0 {
-		t.Fatalf("%d keys loaded after a post-Close unbind, want 0", n)
+		t.Fatalf("%d keys loaded after a post-Close join, want 0", n)
 	}
 }
 
@@ -617,87 +626,6 @@ func TestImprovedStateEnvelopeBinding(t *testing.T) {
 	}
 }
 
-func TestImprovedExportImportAcrossHosts(t *testing.T) {
-	gSrc, _ := newImproved(t, "src-host")
-	gDst, _ := newImproved(t, "dst-host")
-	inst := testInstance(2, "traveler")
-	state := []byte("instance state to migrate")
-	env, err := gSrc.ExportState(inst, state, gDst.MigrationIdentity())
-	if err != nil {
-		t.Fatalf("ExportState: %v", err)
-	}
-	if bytes.Contains(env, state) {
-		t.Fatal("migration envelope contains plaintext")
-	}
-	got, err := gDst.ImportState(env)
-	if err != nil || !bytes.Equal(got, state) {
-		t.Fatalf("ImportState: %v", err)
-	}
-	// A third host cannot open it.
-	gEve, _ := newImproved(t, "eve-host")
-	if _, err := gEve.ImportState(env); err == nil {
-		t.Fatal("third host imported the envelope")
-	}
-}
-
-// TestImprovedImportRefusesTamperedKek: a migration envelope whose
-// encrypted KEK was altered in transit is refused, and the refusal leaves
-// the resident bind key loaded for the next, honest import.
-func TestImprovedImportRefusesTamperedKek(t *testing.T) {
-	gSrc, _ := newImproved(t, "tamper-src")
-	cli, dstKeys := newPlatform(t, "tamper-dst")
-	gDst := NewImprovedGuard(dstKeys, NewPolicy())
-	state := []byte("instance state to migrate")
-	env, err := gSrc.ExportState(testInstance(2, "traveler"), state, gDst.MigrationIdentity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	encKek := tpm.NewReader(env).B32() // the envelope opens with B32(encKek)
-	bad := append([]byte(nil), env...)
-	bad[4+len(encKek)/2] ^= 0x01
-	if _, err := gDst.ImportState(bad); !errors.Is(err, vtpm.ErrStateSealed) {
-		t.Fatalf("tampered KEK: err = %v, want ErrStateSealed", err)
-	}
-	if n := loadedKeys(t, cli); n != 1 {
-		t.Fatalf("%d keys loaded after a refused import, want 1", n)
-	}
-	if got, err := gDst.ImportState(env); err != nil || !bytes.Equal(got, state) {
-		t.Fatalf("honest import after a refused one: %v", err)
-	}
-}
-
-// TestImprovedImportRefusesTrailingBytes: bytes appended after an honest
-// migration envelope lie outside its MAC, so the import refuses them — and
-// before it spends a hardware-TPM command on the KEK.
-func TestImprovedImportRefusesTrailingBytes(t *testing.T) {
-	gSrc, _ := newImproved(t, "trail-src")
-	cli, dstKeys := newPlatform(t, "trail-dst")
-	gDst := NewImprovedGuard(dstKeys, NewPolicy())
-	state := []byte("instance state to migrate")
-	env, err := gSrc.ExportState(testInstance(2, "traveler"), state, gDst.MigrationIdentity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	padded := append(append([]byte(nil), env...), make([]byte, 13)...)
-	before := hwCommands(cli)
-	if _, err := gDst.ImportState(padded); !errors.Is(err, vtpm.ErrStateSealed) {
-		t.Fatalf("13 trailing bytes: err = %v, want ErrStateSealed", err)
-	}
-	if d := hwCommands(cli) - before; d != 0 {
-		t.Fatalf("refused import ran %d hardware-TPM commands, want 0", d)
-	}
-	if got, err := gDst.ImportState(env); err != nil || !bytes.Equal(got, state) {
-		t.Fatalf("honest import after a refused one: %v", err)
-	}
-}
-
-func TestImprovedExportRequiresDestinationKey(t *testing.T) {
-	g, _ := newImproved(t, "i5")
-	if _, err := g.ExportState(testInstance(1, "g"), []byte("s"), nil); err == nil {
-		t.Fatal("export without destination key accepted")
-	}
-}
-
 func TestBaselineAdmitTrustsDomID(t *testing.T) {
 	g := NewBaselineGuard()
 	inst := testInstance(1, "victim")
@@ -730,10 +658,6 @@ func TestBaselineStatePlaintext(t *testing.T) {
 	blob, _ := g.ProtectState(inst, nil, state)
 	if !bytes.Equal(blob, state) {
 		t.Fatal("baseline transformed state")
-	}
-	env, _ := g.ExportState(inst, state, nil)
-	if !bytes.Equal(env, state) {
-		t.Fatal("baseline protected migration")
 	}
 }
 

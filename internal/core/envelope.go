@@ -15,8 +15,8 @@ import (
 )
 
 // State envelopes: AES-128-CTR with a random IV plus HMAC-SHA256
-// (encrypt-then-MAC), used for vTPM state at rest, the in-memory mirror and
-// migration payloads. Unlike the command channel there is no sequence
+// (encrypt-then-MAC), used for vTPM state at rest and the in-memory mirror;
+// a move ships the at-rest envelope as it is. Unlike the command channel there is no sequence
 // discipline here, so the IV is random.
 const (
 	stateIVSize   = aes.BlockSize
@@ -26,7 +26,7 @@ const (
 
 // stateKeys is an expanded state key: the AES-128 cipher key followed by
 // the HMAC-SHA256 MAC key. The improved guard keeps one per instance (see
-// ImprovedGuard.ProtectState); migration envelopes expand theirs per call.
+// ImprovedGuard.ProtectState).
 type stateKeys [16 + sha256.Size]byte
 
 // expandStateKeys expands a state key into its cipher and MAC keys.
@@ -62,24 +62,6 @@ func stateCipherOf(key []byte) (stateCipher, error) {
 	defer clear(k[:])
 	expandStateKeys(key, &k)
 	return newStateCipher(&k)
-}
-
-// stateSeal encrypts and authenticates plaintext under key.
-func stateSeal(key, plaintext []byte) ([]byte, error) {
-	c, err := stateCipherOf(key)
-	if err != nil {
-		return nil, err
-	}
-	return c.sealAppend(nil, plaintext)
-}
-
-// stateOpen reverses stateSeal.
-func stateOpen(key, envelope []byte) ([]byte, error) {
-	c, err := stateCipherOf(key)
-	if err != nil {
-		return nil, err
-	}
-	return c.open(envelope)
 }
 
 // sealAppend seals plaintext, appending the envelope to dst. The checkpoint

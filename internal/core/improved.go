@@ -1,16 +1,12 @@
 package core
 
 import (
-	"crypto/rand"
-	"crypto/rsa"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"xvtpm/internal/metrics"
-	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 	"xvtpm/internal/xen"
 )
@@ -344,59 +340,6 @@ func (g *ImprovedGuard) stateCipherFor(id vtpm.InstanceID) (stateCipher, error) 
 	}
 	return newStateCipher(&st.stateKey)
 }
-
-// Migration envelope wire form: encKek(B32) ∥ stateEnvelope(B32), where
-// encKek is a fresh key-encryption key OAEP-bound to the destination host's
-// TPM-resident bind key.
-
-// ExportState implements vtpm.Guard.
-func (g *ImprovedGuard) ExportState(inst vtpm.InstanceInfo, state []byte, destEK *rsa.PublicKey) ([]byte, error) {
-	if destEK == nil {
-		return nil, fmt.Errorf("%w: improved guard requires a destination bind key", vtpm.ErrStateSealed)
-	}
-	kek := make([]byte, 32)
-	if _, err := io.ReadFull(rand.Reader, kek); err != nil {
-		return nil, err
-	}
-	encKek, err := tpm.BindEncrypt(nil, destEK, kek[:16])
-	if err != nil {
-		return nil, fmt.Errorf("core: binding migration kek: %w", err)
-	}
-	// OAEP under small test moduli caps the message size, so bind 16 bytes
-	// of the KEK and derive the envelope key from them.
-	env, err := stateSeal(deriveBytes(kek[:16], "migration"), state)
-	if err != nil {
-		return nil, err
-	}
-	w := tpm.NewWriter()
-	w.B32(encKek)
-	w.B32(env)
-	return w.Bytes(), nil
-}
-
-// ImportState implements vtpm.Guard: the KEK is recovered inside the
-// hardware TPM via TPM_UnBind, so the bind private key never exists in host
-// memory. An envelope with bytes past its two fields is refused before any
-// hardware-TPM command runs: nothing would authenticate them.
-func (g *ImprovedGuard) ImportState(blob []byte) ([]byte, error) {
-	r := tpm.NewReader(blob)
-	encKek := r.B32()
-	env := r.B32()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", vtpm.ErrStateSealed, err)
-	}
-	if n := r.Remaining(); n != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the migration envelope", vtpm.ErrStateSealed, n)
-	}
-	kek, err := g.keys.UnbindMigrationKek(encKek)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", vtpm.ErrStateSealed, err)
-	}
-	return stateOpen(deriveBytes(kek, "migration"), env)
-}
-
-// MigrationIdentity implements vtpm.Guard.
-func (g *ImprovedGuard) MigrationIdentity() *rsa.PublicKey { return g.keys.MigrationPub() }
 
 // RetainsPlaintext implements vtpm.Guard: the improved manager scrubs
 // exchange buffers immediately.

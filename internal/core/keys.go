@@ -25,10 +25,10 @@ import (
 //     cannot unseal it;
 //   - per-instance state keys and per-(instance, identity) channel keys,
 //     derived from the master by HMAC — nothing per-guest needs storing;
-//   - a migration bind key whose private half exists only inside the hardware
-//     TPM: wrapped under the hardware SRK at rest, and loaded there once for
-//     the life of the keys. Inbound migration envelopes are opened by
-//     TPM_UnBind on that resident key; Close flushes it.
+//   - a bind key whose private half exists only inside the hardware TPM:
+//     wrapped under the hardware SRK at rest, and loaded there once for the
+//     life of the keys. A federation delivers its state root wrapped to it,
+//     opened by one TPM_UnBind at join (JoinFederation); Close flushes it.
 type PlatformKeys struct {
 	hw        *tpm.Client
 	ownerAuth [tpm.AuthSize]byte
@@ -49,9 +49,9 @@ type PlatformKeys struct {
 	// stateMu guards the root of state-envelope key derivation: fedMaster
 	// and stateKeyed. fedMaster, when set, replaces the host-local master for
 	// *state-envelope* key derivation: a cluster-wide secret delivered
-	// wrapped to this host's migration bind key and unwrapped inside the
+	// wrapped to this host's bind key and unwrapped inside the
 	// hardware TPM (JoinFederation). With it, any member host can open any
-	// member's committed checkpoints — the failure-driven evacuation path —
+	// member's committed checkpoints — how a vTPM moves or is evacuated —
 	// while channel keys stay host-local. stateKeyed latches once any state
 	// key has been derived from the root; a join after that is refused.
 	stateMu    sync.Mutex
@@ -70,7 +70,7 @@ var ErrLateFederationJoin = errors.New("core: federation join after instance sta
 // pages and the manager's arena). On real hardware the equivalent working
 // copy would be held in locked kernel memory; the design point being
 // evaluated is that nothing *derived-at-rest* — state files, mirrors, ring
-// traffic, migration envelopes — is ever plaintext, which is exactly what
+// traffic, shipped checkpoints — is ever plaintext, which is exactly what
 // the dump attacker exercises.
 
 // platformPCRs are the boot-measurement registers the master is sealed to.
@@ -78,7 +78,7 @@ var platformPCRs = []int{0, 1, 2}
 
 // SetupPlatformKeys provisions a host's hardware TPM on first boot: take
 // ownership, measure the platform into the boot PCRs, generate and seal the
-// master secret, and create the migration bind key.
+// master secret, and create the bind key.
 func SetupPlatformKeys(hw *tpm.Client, platformMeasurement []byte, ownerAuth, srkAuth [tpm.AuthSize]byte) (*PlatformKeys, error) {
 	if _, err := hw.TakeOwnership(ownerAuth, srkAuth); err != nil {
 		return nil, fmt.Errorf("core: owning hardware TPM: %w", err)
@@ -164,9 +164,8 @@ func (pk *PlatformKeys) loadBindKey() error {
 	return nil
 }
 
-// Close flushes the resident bind key from the hardware TPM. Later unbinds
-// (inbound migrations, JoinFederation) fail. Idempotent: only the first
-// call flushes.
+// Close flushes the resident bind key from the hardware TPM. A later
+// JoinFederation fails. Idempotent: only the first call flushes.
 func (pk *PlatformKeys) Close() error {
 	var err error
 	pk.closeOnce.Do(func() {
@@ -180,11 +179,12 @@ func (pk *PlatformKeys) Close() error {
 // SealedMaster returns the sealed master blob (persisted by the platform).
 func (pk *PlatformKeys) SealedMaster() []byte { return pk.sealedMaster }
 
-// BindBlob returns the wrapped migration bind key (persisted alongside).
+// BindBlob returns the wrapped bind key (persisted alongside).
 func (pk *PlatformKeys) BindBlob() []byte { return pk.bindBlob }
 
-// MigrationPub returns the public half of the migration bind key.
-func (pk *PlatformKeys) MigrationPub() *rsa.PublicKey { return pk.bindPub }
+// BindPub returns the public half of the bind key, which a federation
+// wraps its master to.
+func (pk *PlatformKeys) BindPub() *rsa.PublicKey { return pk.bindPub }
 
 // deriveBytes derives labeled key material from a secret.
 func deriveBytes(secret []byte, label string, extra ...[]byte) []byte {
@@ -197,15 +197,15 @@ func deriveBytes(secret []byte, label string, extra ...[]byte) []byte {
 }
 
 // JoinFederation installs a cluster-wide state-key master. wrapped is the
-// federation secret OAEP-encrypted to this host's migration bind key
-// (tpm.BindEncrypt against MigrationPub); it is unwrapped by TPM_UnBind
+// federation secret OAEP-encrypted to this host's bind key
+// (tpm.BindEncrypt against BindPub); it is unwrapped by TPM_UnBind
 // inside the hardware TPM, so only a host whose platform booted clean — the
 // bind key's private half lives only inside the hardware TPM — can join.
 // It must precede every state-key derivation: once the host has derived
 // one (to protect or recover any instance state), the join fails with
 // ErrLateFederationJoin and the host-local root stays in force.
 func (pk *PlatformKeys) JoinFederation(wrapped []byte) error {
-	secret, err := pk.UnbindMigrationKek(wrapped)
+	secret, err := pk.hw.UnBind(pk.bindHandle, pk.bindAuth, wrapped)
 	if err != nil {
 		return fmt.Errorf("core: unwrapping federation master: %w", err)
 	}
@@ -261,11 +261,4 @@ func (pk *PlatformKeys) ChannelKeyFor(id vtpm.InstanceID, launch xen.LaunchDiges
 	var key ChannelKey
 	copy(key[:], deriveBytes(pk.master, "channel", b[:], launch[:]))
 	return key
-}
-
-// UnbindMigrationKek opens a migration key-encryption-key that was
-// OAEP-encrypted to this host's bind key, by one TPM_UnBind on the bind key
-// resident in the hardware TPM. Safe for concurrent use.
-func (pk *PlatformKeys) UnbindMigrationKek(encKek []byte) ([]byte, error) {
-	return pk.hw.UnBind(pk.bindHandle, pk.bindAuth, encKek)
 }

@@ -16,8 +16,9 @@
 //     ordinal) with a decision cache.
 //  4. Sealed state: vTPM instance state is envelope-encrypted under keys
 //     derived from a master secret sealed to the hardware TPM; it is never
-//     at rest or mirrored in memory as plaintext, and migration envelopes
-//     are encrypted to the destination host's TPM-resident bind key.
+//     at rest or mirrored in memory as plaintext — nor on the wire: a move
+//     ships the sealed checkpoint, which only a member of the host's
+//     federation can open.
 //
 // The baseline (BaselineGuard) reproduces the deployed Xen vTPM behaviour:
 // instance-to-domain-ID routing as the only check, plaintext state on disk

@@ -109,7 +109,7 @@ func TestStateKeyLifetime(t *testing.T) {
 // fedSecret wraps a federation master to keys' bind key.
 func fedSecret(t testing.TB, keys *PlatformKeys, secret []byte) []byte {
 	t.Helper()
-	wrapped, err := tpm.BindEncrypt(nil, keys.MigrationPub(), secret)
+	wrapped, err := tpm.BindEncrypt(nil, keys.BindPub(), secret)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"xvtpm"
 	"xvtpm/internal/attack"
+	"xvtpm/internal/cluster"
 	"xvtpm/internal/core"
 	"xvtpm/internal/metrics"
 	"xvtpm/internal/tpm"
@@ -29,20 +30,16 @@ func E4AttackMatrix(cfg Config) (map[xvtpm.Mode][]attack.Result, error) {
 	}
 	for _, mode := range Modes {
 		mode := mode
-		factory := func() (*xvtpm.Host, *xvtpm.Guest, *xvtpm.Host, error) {
+		factory := func() (*xvtpm.Host, *xvtpm.Host, error) {
 			h, err := newHost(cfg, mode, seeded("e4-"+mode.String()))
 			if err != nil {
-				return nil, nil, nil, err
-			}
-			g, err := h.CreateGuest(xvtpm.GuestConfig{Name: "victim", Kernel: []byte("victim-kernel")})
-			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			peer, err := newHost(cfg, mode, seeded("e4-peer-"+mode.String()))
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
-			return h, g, peer, nil
+			return h, peer, nil
 		}
 		results, err := attack.RunMatrix(factory)
 		if err != nil {
@@ -140,112 +137,100 @@ func E5PolicyCost(cfg Config) (map[string][]E5Point, error) {
 	return out, nil
 }
 
-// E6Phases is the migration time breakdown for one mode.
+// E6Phases is the migration time breakdown for one mode: the mean of each
+// of Cluster.Migrate's phases, and of its whole call, over the moves.
 type E6Phases struct {
-	Mode      xvtpm.Mode
-	Suspend   time.Duration // detach + unbind + domain save
-	Transfer  time.Duration // export + encode + decode + import (includes guard crypto)
-	Resume    time.Duration // domain restore + rebind
-	Total     time.Duration
-	WireBytes int // the encoded instance image
+	Mode xvtpm.Mode
+	// Phases is indexed by cluster.Phase: quiesce, ship, revive, attach,
+	// verify, commit.
+	Phases    [cluster.NumPhases]time.Duration
+	Total     time.Duration // the whole Cluster.Migrate call
+	WireBytes int           // the committed checkpoint a move ships
 }
 
-// E6Migration measures the vTPM migration time breakdown for both guards,
-// reporting the median over several migrations. Reconstructed Table 3. The
-// transfer phase is the fenced cluster handoff's transfer leg: the source
-// exports the instance sealed to the destination's MigrationIdentity, the
-// image crosses as vtpm.EncodeInstanceImage bytes (WireBytes), and the
-// destination decodes and imports it. The saved domain image is handed
-// over in memory, as the cluster does.
+// E6Migration measures the vTPM migration time breakdown for both guards.
+// Reconstructed Table 3. It moves one stateful guest back and forth between
+// the two members of a seeded federation with Cluster.Migrate and reports
+// the phase histograms the cluster keeps (ClusterStats.Phases). The ship
+// phase reads the source's committed checkpoint, which crosses as it sits
+// at rest (WireBytes); the improved guard's extra cost is its envelope —
+// opened in the revive phase, sealed again in revive and verify — with no
+// RSA operation of its own.
 func E6Migration(cfg Config) ([]E6Phases, error) {
-	samples := cfg.reps(7, 1)
+	moves := cfg.reps(50, 4)
 	var out []E6Phases
 	for _, mode := range Modes {
-		var runs []E6Phases
-		for s := 0; s < samples; s++ {
-			src, err := newHost(cfg, mode)
-			if err != nil {
-				return nil, err
-			}
-			dst, err := newHost(cfg, mode)
-			if err != nil {
-				return nil, err
-			}
-			g, err := src.CreateGuest(xvtpm.GuestConfig{Name: "traveler", Kernel: []byte("traveler-kernel")})
-			if err != nil {
-				return nil, err
-			}
-			// Populate state so there is something to move.
-			runner, err := workload.Prepare(g.TPM, 7, cfg.bits())
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < cfg.reps(20, 3); i++ {
-				if err := runner.Step(workload.OpExtend); err != nil {
-					return nil, err
-				}
-			}
-
-			var phases E6Phases
-			phases.Mode = mode
-			totalStart := time.Now()
-
-			start := time.Now()
-			domImg, err := src.BeginMigration(g)
-			if err != nil {
-				return nil, err
-			}
-			phases.Suspend = time.Since(start)
-
-			start = time.Now()
-			img, err := src.Manager.ExportInstance(g.Instance, dst.MigrationIdentity())
-			if err != nil {
-				return nil, fmt.Errorf("E6 export on %s: %w", mode, err)
-			}
-			wire := vtpm.EncodeInstanceImage(img)
-			rimg, err := vtpm.DecodeInstanceImage(wire)
-			if err != nil {
-				return nil, fmt.Errorf("E6 decode on %s: %w", mode, err)
-			}
-			inst, err := dst.Manager.ImportInstance(rimg)
-			if err != nil {
-				return nil, fmt.Errorf("E6 import on %s: %w", mode, err)
-			}
-			phases.Transfer = time.Since(start)
-			phases.WireBytes = len(wire)
-
-			start = time.Now()
-			dom, err := dst.HV.RestoreDomain(xen.Dom0, domImg)
-			if err != nil {
-				return nil, err
-			}
-			if err := dst.Manager.BindInstance(inst, dom); err != nil {
-				return nil, err
-			}
-			phases.Resume = time.Since(start)
-			phases.Total = time.Since(totalStart)
-			runs = append(runs, phases)
-
-			src.Manager.DestroyInstance(g.Instance)
-			src.Close()
-			dst.Close()
+		p, err := e6Mode(cfg, mode, moves)
+		if err != nil {
+			return nil, fmt.Errorf("E6 on %s: %w", mode, err)
 		}
-		out = append(out, medianPhases(mode, runs))
+		out = append(out, p)
 	}
 	if cfg.Out != nil {
 		rows := make([][]string, 0, len(out))
 		for _, p := range out {
-			rows = append(rows, []string{
-				p.Mode.String(),
-				metrics.Micros(p.Suspend),
-				metrics.Micros(p.Transfer),
-				metrics.Micros(p.Resume),
-				metrics.Micros(p.Total),
-				fmt.Sprintf("%d", p.WireBytes),
-			})
+			row := []string{p.Mode.String()}
+			for _, d := range p.Phases {
+				row = append(row, metrics.Micros(d))
+			}
+			rows = append(rows, append(row, metrics.Micros(p.Total), fmt.Sprintf("%d", p.WireBytes)))
 		}
-		metrics.Table(cfg.Out, "E6 / Table 3 — vTPM migration breakdown (µs)",
-			[]string{"guard", "suspend", "transfer", "resume", "total", "wire-bytes"}, rows)
+		headers := []string{"guard"}
+		for ph := cluster.Phase(0); ph < cluster.NumPhases; ph++ {
+			headers = append(headers, ph.String())
+		}
+		metrics.Table(cfg.Out, "E6 / Table 3 — vTPM migration breakdown (mean µs)",
+			append(headers, "total", "wire-bytes"), rows)
 	}
 	return out, nil
+}
+
+// e6Mode moves one guest moves times between the members of a two-member
+// cluster in mode.
+func e6Mode(cfg Config, mode xvtpm.Mode, moves int) (E6Phases, error) {
+	p := E6Phases{Mode: mode}
+	c, err := cluster.New(cluster.Config{Hosts: 2, Mode: mode, RSABits: cfg.bits(), Seed: []byte("e6-migration")})
+	if err != nil {
+		return p, err
+	}
+	defer c.Close()
+	g, err := c.CreateGuestOn("h0", xvtpm.GuestConfig{Name: "traveler", Kernel: []byte("traveler-kernel")})
+	if err != nil {
+		return p, err
+	}
+	// Populate state so there is something to move.
+	runner, err := workload.Prepare(g.TPM, 7, cfg.bits())
+	if err != nil {
+		return p, err
+	}
+	for i := 0; i < cfg.reps(20, 3); i++ {
+		if err := runner.Step(workload.OpExtend); err != nil {
+			return p, err
+		}
+	}
+	var total time.Duration
+	for i := 0; i < moves; i++ {
+		start := time.Now()
+		if err := c.Migrate("traveler", []string{"h1", "h0"}[i%2]); err != nil {
+			return p, err
+		}
+		total += time.Since(start)
+	}
+	p.Total = total / time.Duration(moves)
+	for ph, h := range c.ClusterStats().Phases {
+		if h.Count > 0 {
+			p.Phases[ph] = h.Sum / time.Duration(h.Count)
+		}
+	}
+	owner, moved, err := c.Owner("traveler")
+	if err != nil {
+		return p, err
+	}
+	m, _ := c.Member(owner)
+	blob, err := m.Host.Store.Get(vtpm.StateName(moved.Instance))
+	if err != nil {
+		return p, err
+	}
+	p.WireBytes = len(blob)
+	return p, nil
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"xvtpm"
+	"xvtpm/internal/cluster"
 )
 
 // quickCfg keeps experiment runs small enough for the test suite while
@@ -124,8 +126,16 @@ func TestE6BothModesMigrate(t *testing.T) {
 		if p.Total <= 0 || p.WireBytes <= 0 {
 			t.Fatalf("degenerate measurement: %+v", p)
 		}
-		if p.Suspend+p.Transfer+p.Resume > 2*p.Total {
-			t.Fatalf("phase accounting inconsistent: %+v", p)
+		var sum time.Duration
+		for ph, d := range p.Phases {
+			if d <= 0 {
+				t.Fatalf("%s: phase %s not measured: %+v", p.Mode, cluster.Phase(ph), p)
+			}
+			sum += d
+		}
+		// The phases are consecutive stretches of one Migrate call.
+		if sum > p.Total {
+			t.Fatalf("phase accounting inconsistent: phases sum to %v, Migrate took %v: %+v", sum, p.Total, p)
 		}
 	}
 }

@@ -126,8 +126,8 @@ const (
 	OpNotify
 	// OpFrame is a ring frame dequeue.
 	OpFrame
-	// OpTransfer is one cross-host migration transfer leg — the copy of a
-	// guest's domain and vTPM images between hosts. The cluster's fenced
+	// OpTransfer is one cross-host migration transfer leg — shipping a
+	// guest's committed checkpoint between hosts. The cluster's fenced
 	// handoff consults it per attempt, so a fault storm tears migrations
 	// mid-flight without touching the store or ring schedules.
 	OpTransfer

@@ -11,8 +11,9 @@ import (
 // The vTPM manager never touches a concrete engine type: every instance sits
 // behind Engine, so a TPM 1.2 and a TPM 2.0 instance are interchangeable to
 // the dispatch, checkpoint, migration and observability layers. The profile
-// travels with the instance — in its InstanceInfo, in its checkpoint and
-// migration envelopes, and in the guard's admission-cache keys — so mixed
+// travels with the instance — in its InstanceInfo, in its checkpoint header
+// (which a move ships as it sits at rest), and in the guard's
+// admission-cache keys — so mixed
 // fleets run under one manager without 1.2 ordinals and 2.0 command codes
 // ever being confused for one another.
 

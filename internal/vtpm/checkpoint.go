@@ -23,8 +23,8 @@ import (
 // The bound on commands is enforced by backpressure — a dispatch that would
 // open the window wider blocks until the worker catches up — so a crash
 // never loses more than the configured window. Flush barriers at every
-// state-handoff point (Unbind, Destroy, Export/Migrate, Checkpoint,
-// CheckpointAll, Close) drain the pipeline synchronously, so state never
+// state-handoff point (Unbind, Destroy, Checkpoint — which a move runs at
+// quiesce before it ships the committed blob — CheckpointAll, Close) drain the pipeline synchronously, so state never
 // leaves an instance behind its engine.
 //
 // Lock ordering: persistMu → inst.mu → ck.mu. The backpressure gate takes
@@ -412,7 +412,7 @@ func (m *Manager) checkpointInstance(inst *instance, force bool) error {
 }
 
 // flushCheckpoints is the flush barrier state-handoff points cross before
-// instance state leaves the manager (unbind, export, shutdown): under
+// instance state leaves the manager (unbind, shutdown): under
 // writeback it drains the pending window synchronously, under the other
 // policies the store is by definition as current as the policy promises and
 // it is a no-op.

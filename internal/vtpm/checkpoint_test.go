@@ -131,9 +131,10 @@ func TestWritebackCrashConsistency(t *testing.T) {
 }
 
 // TestWritebackFlushBarriersCarryLatestMutation checks the two state-handoff
-// barriers after a burst: UnbindInstance must leave the store fully current,
-// and ExportInstance/ImportInstance (the migration path) must carry the very
-// latest mutation to the destination.
+// barriers after a burst under write-behind: the forced Checkpoint a move
+// runs at quiesce must leave the store exactly current, so the committed
+// checkpoint the move ships carries the very latest mutation to the
+// destination; and UnbindInstance must leave the store exactly current too.
 func TestWritebackFlushBarriersCarryLatestMutation(t *testing.T) {
 	const burst = 37
 	store := NewMemStore()
@@ -156,53 +157,61 @@ func TestWritebackFlushBarriersCarryLatestMutation(t *testing.T) {
 	if err := mgr.BindInstance(id, dom); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= burst; i++ {
-		cmd, _ := extendStepCmd(7, i)
-		if _, err := mgr.Dispatch(dom.ID(), dom.Launch(), cmd); err != nil {
-			t.Fatalf("dispatch %d: %v", i, err)
+	chain := pcrChain(2 * burst)
+	extend := func(from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			cmd, _ := extendStepCmd(7, i)
+			if _, err := mgr.Dispatch(dom.ID(), dom.Launch(), cmd); err != nil {
+				t.Fatalf("dispatch %d: %v", i, err)
+			}
 		}
 	}
-	chain := pcrChain(burst)
-
-	// Unbind is a flush barrier: the store must now be exactly current.
-	if err := mgr.UnbindInstance(id); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := store.Get(stateName(id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile, envelope, err := UnwrapCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := guard.RecoverState(InstanceInfo{ID: id, Profile: profile}, envelope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := tpm.RestoreState(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := tpm.NewClient(tpm.DirectTransport{TPM: eng}, nil).PCRRead(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != chain[burst] {
-		t.Fatalf("store after unbind at step %d, want %d (latest)", chainIndex(chain, v), burst)
+	// storedStep opens the stored checkpoint and returns its PCR 7 step.
+	storedStep := func() int {
+		t.Helper()
+		blob, err := store.Get(stateName(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile, envelope, err := UnwrapCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := guard.RecoverState(InstanceInfo{ID: id, Profile: profile}, envelope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := tpm.RestoreState(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := tpm.NewClient(tpm.DirectTransport{TPM: eng}, nil).PCRRead(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chainIndex(chain, v)
 	}
 
-	// Migration always carries the latest mutation.
-	img, err := mgr.ExportInstance(id, nil)
+	// The quiesce checkpoint is a flush barrier, and the checkpoint it
+	// commits is what a move ships: adopted elsewhere, it is at the latest
+	// step.
+	extend(1, burst)
+	if err := mgr.Checkpoint(id); err != nil {
+		t.Fatal(err)
+	}
+	if k := storedStep(); k != burst {
+		t.Fatalf("store after the quiesce checkpoint at step %d, want %d (latest)", k, burst)
+	}
+	shipped, err := store.Get(stateName(id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2 := NewMemStore()
-	_, mgr2 := newCkptRig(t, store2, guard, ManagerConfig{
+	_, mgr2 := newCkptRig(t, NewMemStore(), guard, ManagerConfig{
 		RSABits: testBits, Checkpoint: CheckpointWriteback,
 	})
 	defer mgr2.Close()
-	nid, err := mgr2.ImportInstance(img)
+	nid, err := mgr2.AdoptCheckpoint(id, shipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +224,16 @@ func TestWritebackFlushBarriersCarryLatestMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if mv != chain[burst] {
-		t.Fatalf("migrated instance at step %d, want %d (latest)", chainIndex(chain, mv), burst)
+		t.Fatalf("adopted instance at step %d, want %d (latest)", chainIndex(chain, mv), burst)
+	}
+
+	// Unbind is a flush barrier: the store must again be exactly current.
+	extend(burst+1, 2*burst)
+	if err := mgr.UnbindInstance(id); err != nil {
+		t.Fatal(err)
+	}
+	if k := storedStep(); k != 2*burst {
+		t.Fatalf("store after unbind at step %d, want %d (latest)", k, 2*burst)
 	}
 }
 
@@ -282,11 +300,11 @@ func (f *failStore) Put(name string, blob []byte) error {
 	return f.Store.Put(name, blob)
 }
 
-// TestFailedFirstCheckpointLeavesNoInstance: create, import and adopt each
-// register an instance and then force its first checkpoint. When that
-// checkpoint fails, the call must return the error and leave nothing
-// registered under the ID it never returned — on import, that orphan would
-// hold a decrypted copy of a guest's vTPM after the move rolled back.
+// TestFailedFirstCheckpointLeavesNoInstance: create and adopt each register
+// an instance and then force its first checkpoint. When that checkpoint
+// fails, the call must return the error and leave nothing registered under
+// the ID it never returned — on adoption, that orphan would hold a
+// decrypted copy of a guest's vTPM after the move rolled back.
 func TestFailedFirstCheckpointLeavesNoInstance(t *testing.T) {
 	srcStore := NewMemStore()
 	_, src := newCkptRig(t, srcStore, &passGuard{}, ManagerConfig{
@@ -294,10 +312,6 @@ func TestFailedFirstCheckpointLeavesNoInstance(t *testing.T) {
 	})
 	defer src.Close()
 	srcID, err := src.CreateInstance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := src.ExportInstance(srcID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +325,6 @@ func TestFailedFirstCheckpointLeavesNoInstance(t *testing.T) {
 		run  func(*Manager) (InstanceID, error)
 	}{
 		{"create", func(m *Manager) (InstanceID, error) { return m.CreateInstance() }},
-		{"import", func(m *Manager) (InstanceID, error) { return m.ImportInstance(img) }},
 		{"adopt", func(m *Manager) (InstanceID, error) { return m.AdoptCheckpoint(srcID, blob) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -109,7 +109,7 @@ func (m *Manager) SetEpoch(id InstanceID, epoch uint64) error {
 	return nil
 }
 
-// PCRDigest fingerprints an instance's full SHA-1 PCR bank: the post-import
+// PCRDigest fingerprints an instance's full SHA-1 PCR bank: the post-revive
 // equality check of a migration compares source and destination fingerprints
 // before the source copy is destroyed. Both profiles carry a SHA-1 bank, so
 // one digest covers 1.2 and 2.0 instances.
@@ -134,16 +134,23 @@ func (m *Manager) PCRDigest(id InstanceID) ([tpm.DigestSize]byte, error) {
 }
 
 // AdoptCheckpoint revives a checkpoint blob that was committed by another
-// manager — the failure-driven evacuation path. origID is the instance's ID
-// on the manager that wrote the blob (state-envelope keys derive from it;
-// under a federation master any member host can open it). The adopted
+// manager — the only way a vTPM arrives from another host: a move ships its
+// source's committed checkpoint, and evacuation reads a dead member's.
+// origID is the instance's ID on the manager that wrote the blob
+// (state-envelope keys derive from it; under a federation master any member
+// host can open it). A blob of a profile this manager is not pinned to is
+// refused with ErrProfileMismatch before its envelope is opened. The adopted
 // instance registers under a fresh local ID, unbound, carrying the epoch the
 // blob was committed at, and is checkpointed locally before the new ID is
-// returned.
+// returned; on any error nothing stays registered or stored.
 func (m *Manager) AdoptCheckpoint(origID InstanceID, blob []byte) (InstanceID, error) {
 	declared, epoch, envelope, err := UnwrapCheckpointEpoch(blob)
 	if err != nil {
 		return 0, fmt.Errorf("vtpm: adopting checkpoint of foreign instance %d: %w", origID, err)
+	}
+	if m.cfg.Profile != tpm.AnyProfile && declared != m.cfg.Profile {
+		return 0, fmt.Errorf("%w: checkpoint of foreign instance %d is %s, this manager accepts only %s",
+			ErrProfileMismatch, origID, declared, m.cfg.Profile)
 	}
 	state, err := m.guard.RecoverState(InstanceInfo{ID: origID, Profile: declared}, envelope)
 	if err != nil {

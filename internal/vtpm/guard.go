@@ -1,7 +1,6 @@
 package vtpm
 
 import (
-	"crypto/rsa"
 	"errors"
 
 	"xvtpm/internal/tpm"
@@ -37,8 +36,8 @@ type InstanceInfo struct {
 	Profile tpm.Profile
 	// Epoch is the instance's ownership generation in a federated cluster:
 	// it is bumped on every ownership transition (migration, evacuation,
-	// rollback) by the placement directory and travels with every checkpoint
-	// header and migration image, so a store or a directory can reject the
+	// rollback) by the placement directory and travels in every checkpoint
+	// header, so a store or a directory can reject the
 	// late writes of a fenced former owner. Zero on single-host managers
 	// that never federate.
 	Epoch uint64
@@ -77,19 +76,6 @@ type Guard interface {
 
 	// RecoverState reverses ProtectState.
 	RecoverState(inst InstanceInfo, blob []byte) ([]byte, error)
-
-	// ExportState packages instance state for migration to a host whose
-	// hardware-TPM endorsement key is destEK.
-	ExportState(inst InstanceInfo, state []byte, destEK *rsa.PublicKey) ([]byte, error)
-
-	// ImportState unpacks a migration envelope on the destination host.
-	ImportState(blob []byte) ([]byte, error)
-
-	// MigrationIdentity is the public key a source host encrypts migration
-	// envelopes to — the destination's platform bind key, whose private
-	// half lives wrapped under the hardware TPM. Nil means the guard does
-	// not protect migration traffic (the baseline).
-	MigrationIdentity() *rsa.PublicKey
 
 	// RetainsPlaintext reports whether the manager should leave exchange
 	// plaintext buffers in place after a command completes (the baseline's

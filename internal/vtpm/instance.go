@@ -88,8 +88,8 @@ type instance struct {
 
 // newInstance builds an instance record with its checkpoint pipeline state
 // and observability instruments initialized. All creation paths (create,
-// revive, import) go through here, so this is also where every engine —
-// including ones restored from checkpoints or migration images, which
+// revive, adopt) go through here, so this is also where every engine —
+// including ones restored from checkpoints, which
 // bypass tpm.Config — is attached to the manager's shared signing and
 // key-generation pools.
 func (m *Manager) newInstance(info InstanceInfo, eng tpm.Engine) *instance {

@@ -236,13 +236,7 @@ func NewManager(hv *xen.Hypervisor, store Store, arena *xen.Arena, guard Guard, 
 func (m *Manager) Close() error {
 	var errs []error
 	m.closeOnce.Do(func() {
-		close(m.stop)
-		// Drain the signing pool first: every in-flight deferred response
-		// completes (no guest exchange is lost), later submissions fail fast.
-		m.signPool.Close()
-		if m.keyPool != nil {
-			m.keyPool.Close()
-		}
+		m.halt()
 		if m.cfg.Checkpoint != CheckpointWriteback {
 			return
 		}
@@ -264,6 +258,24 @@ func (m *Manager) Close() error {
 		}
 	})
 	return errors.Join(errs...)
+}
+
+// Halt stops the manager's background work — write-behind workers, the
+// signing pool, the key pool — without persisting anything: the stop for a
+// manager whose store refuses writes, such as a condemned cluster member's.
+// Pending write-behind state is abandoned, as in a crash. A later Close is
+// a no-op.
+func (m *Manager) Halt() { m.closeOnce.Do(m.halt) }
+
+// halt stops the background work; the caller holds closeOnce.
+func (m *Manager) halt() {
+	close(m.stop)
+	// Drain the signing pool first: every in-flight deferred response
+	// completes (no guest exchange is lost), later submissions fail fast.
+	m.signPool.Close()
+	if m.keyPool != nil {
+		m.keyPool.Close()
+	}
 }
 
 // KeyPool exposes the shared key-generation pool (nil when disabled).
@@ -340,7 +352,7 @@ func (m *Manager) CreateInstanceProfile(p tpm.Profile) (InstanceID, error) {
 
 // firstCheckpoint forces the first checkpoint of an instance just registered
 // under id. If it fails, the instance is destroyed again before the error is
-// returned: no instance may stay registered — on import, holding a decrypted
+// returned: no instance may stay registered — on adoption, holding a decrypted
 // copy of a guest's vTPM — under an ID its caller never learns.
 func (m *Manager) firstCheckpoint(id InstanceID, inst *instance) (InstanceID, error) {
 	if err := m.checkpointInstance(inst, true); err != nil {

@@ -11,7 +11,7 @@ import (
 // Profile plumbing: every persisted or migrated instance blob declares which
 // command profile its engine speaks, in plaintext, ahead of the guard's
 // protected envelope. The declaration is deliberately outside the envelope —
-// a revive or migration import must know which deserializer to hand the
+// a revive or an adoption must know which deserializer to hand the
 // opened state to before it can open anything, and the profile is topology
 // metadata, not a secret. The restored engine's own self-describing state
 // magic is then checked against the declaration, so a tampered header cannot
@@ -19,7 +19,7 @@ import (
 
 // Profile-flow errors.
 var (
-	// ErrProfileMismatch reports an attempt to import or revive state whose
+	// ErrProfileMismatch reports an attempt to adopt or revive state whose
 	// declared profile does not match the engine the blob actually contains,
 	// or to migrate an instance into a slot of the other profile. It is
 	// distinct from ErrBadEnvelope: the envelope is intact, the profiles
@@ -50,7 +50,7 @@ func appendCheckpointHeader(dst []byte, p tpm.Profile, epoch uint64) []byte {
 // and the guard envelope that follows. Blobs from before the profile header
 // existed carry no header; they are accepted and declared Profile12, the only
 // profile that existed then. Exported because everything that reads stored
-// blobs out-of-band — the migration receiver, the attack harness's
+// blobs out-of-band — the move's destination, the attack harness's
 // state-theft scenario, offline tooling — must strip the same header.
 func UnwrapCheckpoint(blob []byte) (tpm.Profile, []byte, error) {
 	p, _, env, err := UnwrapCheckpointEpoch(blob)
@@ -84,7 +84,7 @@ func UnwrapCheckpointEpoch(blob []byte) (tpm.Profile, uint64, []byte, error) {
 
 // restoreDeclaredEngine revives an engine from opened (plaintext) state and
 // cross-checks the blob's self-describing magic against the profile the
-// checkpoint or migration envelope declared.
+// checkpoint declared.
 func restoreDeclaredEngine(declared tpm.Profile, state []byte) (tpm.Engine, error) {
 	eng, err := tpm.RestoreEngine(state)
 	if err != nil {

@@ -32,65 +32,67 @@ func newProfileMgr(t *testing.T, cfg ManagerConfig) *Manager {
 	return mgr
 }
 
-// TestCrossProfileImportRejected covers the two cross-profile import
-// refusals: a destination pinned to one profile refuses images of the other,
-// and an image whose declared profile disagrees with the engine state it
-// carries is refused even on an unpinned destination. Both must surface
-// ErrProfileMismatch — distinct from ErrBadImage — and commit nothing.
+// TestCrossProfileImportRejected covers the two cross-profile refusals of
+// the inbound path, AdoptCheckpoint: a destination pinned to one profile
+// refuses checkpoints of the other, and a checkpoint whose declared profile
+// disagrees with the engine state it carries is refused even on an unpinned
+// destination. Both must surface ErrProfileMismatch and commit nothing.
 func TestCrossProfileImportRejected(t *testing.T) {
 	src := newProfileMgr(t, ManagerConfig{})
-	id, err := src.CreateInstanceProfile(tpm.Profile20)
-	if err != nil {
-		t.Fatal(err)
+	committed := func(p tpm.Profile) (InstanceID, []byte) {
+		t.Helper()
+		id, err := src.CreateInstanceProfile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := src.Store().Get(stateName(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if declared, _, err := UnwrapCheckpoint(blob); err != nil || declared != p {
+			t.Fatalf("checkpoint declares %s (%v), want %s", declared, err, p)
+		}
+		return id, blob
 	}
-	img, err := src.ExportInstance(id, nil)
-	if err != nil {
-		t.Fatal(err)
+	refused := func(m *Manager, id InstanceID, blob []byte, what string) {
+		t.Helper()
+		if _, err := m.AdoptCheckpoint(id, blob); !errors.Is(err, ErrProfileMismatch) {
+			t.Fatalf("%s: err = %v, want ErrProfileMismatch", what, err)
+		}
+		if ids := m.Instances(); len(ids) != 0 {
+			t.Fatalf("%s left instances %v registered", what, ids)
+		}
+		if names, _ := m.Store().List(); len(names) != 0 {
+			t.Fatalf("%s left blobs %v stored", what, names)
+		}
 	}
-	if img.Profile != tpm.Profile20 {
-		t.Fatalf("exported image declares %s, want 2.0", img.Profile)
-	}
+	id, blob := committed(tpm.Profile20)
 
-	// Honest import on an unpinned destination works and keeps the profile.
+	// A 1.2-pinned destination refuses the 2.0 checkpoint.
+	refused(newProfileMgr(t, ManagerConfig{Profile: tpm.Profile12}), id, blob, "1.2-pinned adoption of a 2.0 checkpoint")
+
+	// A 2.0-pinned destination refuses a 1.2 checkpoint.
+	id12, blob12 := committed(tpm.Profile12)
+	refused(newProfileMgr(t, ManagerConfig{Profile: tpm.Profile20}), id12, blob12, "2.0-pinned adoption of a 1.2 checkpoint")
+
+	// A checkpoint lying about its profile (declares 1.2, carries 2.0 state)
+	// is refused by the declared-vs-actual cross-check on any destination.
+	lying := append([]byte(nil), blob...)
+	lying[len(ckptMagic)+1] = byte(tpm.Profile12)
+	refused(newProfileMgr(t, ManagerConfig{}), id, lying, "adoption of a mislabeled checkpoint")
+
+	// Honest adoption on an unpinned destination works and keeps the profile.
 	open := newProfileMgr(t, ManagerConfig{})
-	got, err := open.ImportInstance(img)
+	got, err := open.AdoptCheckpoint(id, blob)
 	if err != nil {
-		t.Fatalf("honest 2.0 import on unpinned manager: %v", err)
+		t.Fatalf("honest 2.0 adoption on unpinned manager: %v", err)
 	}
 	info, err := open.InstanceInfo(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Profile != tpm.Profile20 {
-		t.Fatalf("imported instance runs %s, want 2.0", info.Profile)
-	}
-
-	// A 1.2-pinned destination refuses the 2.0 image.
-	pinned12 := newProfileMgr(t, ManagerConfig{Profile: tpm.Profile12})
-	if _, err := pinned12.ImportInstance(img); !errors.Is(err, ErrProfileMismatch) {
-		t.Fatalf("1.2-pinned import of 2.0 image: err = %v, want ErrProfileMismatch", err)
-	}
-
-	// A 2.0-pinned destination refuses a 1.2 image.
-	id12, err := src.CreateInstanceProfile(tpm.Profile12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img12, err := src.ExportInstance(id12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned20 := newProfileMgr(t, ManagerConfig{Profile: tpm.Profile20})
-	if _, err := pinned20.ImportInstance(img12); !errors.Is(err, ErrProfileMismatch) {
-		t.Fatalf("2.0-pinned import of 1.2 image: err = %v, want ErrProfileMismatch", err)
-	}
-
-	// An image lying about its profile (declares 1.2, carries 2.0 state) is
-	// refused by the declared-vs-actual cross-check on any destination.
-	lying := *img
-	lying.Profile = tpm.Profile12
-	if _, err := open.ImportInstance(&lying); !errors.Is(err, ErrProfileMismatch) {
-		t.Fatalf("import of mislabeled image: err = %v, want ErrProfileMismatch", err)
+		t.Fatalf("adopted instance runs %s, want 2.0", info.Profile)
 	}
 }
 

@@ -2,7 +2,6 @@ package vtpm
 
 import (
 	"bytes"
-	"crypto/rsa"
 	"crypto/sha1"
 	"errors"
 	"testing"
@@ -56,16 +55,6 @@ func (g *passGuard) RecoverState(inst InstanceInfo, blob []byte) ([]byte, error)
 	}
 	return append([]byte(nil), blob...), nil
 }
-
-func (g *passGuard) ExportState(inst InstanceInfo, state []byte, destEK *rsa.PublicKey) ([]byte, error) {
-	return append([]byte(nil), state...), nil
-}
-
-func (g *passGuard) ImportState(blob []byte) ([]byte, error) {
-	return append([]byte(nil), blob...), nil
-}
-
-func (g *passGuard) MigrationIdentity() *rsa.PublicKey { return nil }
 
 func (g *passGuard) RetainsPlaintext() bool { return true }
 
@@ -336,53 +325,6 @@ func TestGuardDenialBecomesTPMError(t *testing.T) {
 	}
 }
 
-func TestExportImportInstance(t *testing.T) {
-	hv, xs, mgr, _ := newTestRig(t, &passGuard{})
-	dom := mkGuestDom(t, hv, xs, "g")
-	id, _ := mgr.CreateInstance()
-	mgr.BindInstance(id, dom)
-	cli, _ := mgr.DirectClient(id)
-	m := sha1.Sum([]byte("pre"))
-	cli.Extend(4, m)
-	want, _ := cli.PCRRead(4)
-
-	// Export requires unbinding first.
-	if _, err := mgr.ExportInstance(id, nil); !errors.Is(err, ErrStillBound) {
-		t.Fatalf("bound export err = %v", err)
-	}
-	mgr.UnbindInstance(id)
-	img, err := mgr.ExportInstance(id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Import on a second manager.
-	_, _, mgr2, _ := newTestRig(t, &passGuard{})
-	nid, err := mgr2.ImportInstance(img)
-	if err != nil {
-		t.Fatalf("ImportInstance: %v", err)
-	}
-	cli2, _ := mgr2.DirectClient(nid)
-	got, err := cli2.PCRRead(4)
-	if err != nil || got != want {
-		t.Fatalf("imported PCR: %v %x want %x", err, got, want)
-	}
-}
-
-func TestImageMarshalRoundTrip(t *testing.T) {
-	img := &InstanceImage{Profile: tpm.Profile20, Epoch: 9, StateEnvelope: []byte("envelope-bytes")}
-	copy(img.Launch[:], bytes.Repeat([]byte{7}, len(img.Launch)))
-	got, err := DecodeInstanceImage(EncodeInstanceImage(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Launch != img.Launch || got.Profile != img.Profile || got.Epoch != img.Epoch || !bytes.Equal(got.StateEnvelope, img.StateEnvelope) {
-		t.Fatal("instance image round trip lost data")
-	}
-	if _, err := DecodeInstanceImage([]byte{1, 2}); err == nil {
-		t.Fatal("junk instance image accepted")
-	}
-}
-
 func TestEKPoolAcceleratesCreation(t *testing.T) {
 	hv := xen.NewHypervisor(xen.DomainConfig{Name: "Domain-0", Pages: 2048})
 	dom0, _ := hv.Domain(xen.Dom0)
@@ -402,5 +344,40 @@ func TestEKPoolAcceleratesCreation(t *testing.T) {
 	}
 	if a == b {
 		t.Fatal("duplicate instance IDs")
+	}
+}
+
+func TestManagerAccessors(t *testing.T) {
+	_, _, mgr, _ := newTestRig(t, &passGuard{})
+	if mgr.Guard() == nil || mgr.Guard().Name() != "pass" {
+		t.Fatal("Guard accessor broken")
+	}
+	id, err := mgr.CreateInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// EncoderFor surfaces the guard's codec.
+	codec, err := mgr.EncoderFor(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := codec.(PlainCodec); !ok {
+		t.Fatalf("codec = %T", codec)
+	}
+	if _, err := mgr.EncoderFor(id + 99); !errors.Is(err, ErrNoInstance) {
+		t.Fatalf("unknown instance err = %v", err)
+	}
+	// OnDispatch observers fire.
+	hv2, xs2, mgr2, _ := newTestRig(t, &passGuard{})
+	dom := mkGuestDom(t, hv2, xs2, "t")
+	id2, _ := mgr2.CreateInstance()
+	mgr2.BindInstance(id2, dom)
+	var seen int
+	mgr2.OnDispatch(func(from xen.DomID, payload []byte) { seen++ })
+	if _, err := mgr2.Dispatch(dom.ID(), dom.Launch(), extendCmd(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 1 {
+		t.Fatalf("dispatch observer fired %d times", seen)
 	}
 }

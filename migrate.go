@@ -5,32 +5,42 @@ package xvtpm
 // handoff — the only coordinator that moves a guest between hosts — can
 // verify the destination copy before the source copy dies, and roll back
 // deterministically when the transfer tears mid-flight. The vTPM state
-// crosses hosts as vtpm.EncodeInstanceImage bytes, sealed by the guard to
-// the destination's MigrationIdentity; the saved domain image is handed
-// over in memory.
+// crosses hosts as the source's committed checkpoint, sealed at rest under
+// the federation's state root that every member took at join (Federate),
+// and the destination revives it as it revives a dead member's
+// (Manager.AdoptCheckpoint); the saved domain image is handed over in
+// memory.
 
 import (
-	"crypto/rsa"
 	"errors"
+	"fmt"
 
 	"xvtpm/internal/tpm"
 	"xvtpm/internal/vtpm"
 	"xvtpm/internal/xen"
 )
 
-// MigrationIdentity is the public key migration envelopes to this host are
-// encrypted to (nil in baseline mode, which ships plaintext).
-func (h *Host) MigrationIdentity() *rsa.PublicKey { return h.guard.MigrationIdentity() }
-
-// FederationJoin installs a cluster-wide state-key master delivered wrapped
-// to this host's migration bind key (see core.PlatformKeys.JoinFederation).
-// A baseline host persists plaintext and needs no shared key; the call is a
-// no-op there.
-func (h *Host) FederationJoin(wrapped []byte) error {
-	if h.keys == nil {
-		return nil
+// Federate makes hosts members of one federation: master, the root every
+// member's state-envelope keys derive from, reaches each improved host
+// wrapped to its hardware-TPM-resident bind key and is opened there by one
+// TPM_UnBind (core.PlatformKeys.JoinFederation). Any member can then open
+// any member's committed checkpoints, which is how a vTPM moves or is
+// evacuated. A host must join before it seals any instance state. Baseline
+// hosts persist plaintext and need no shared key; they are skipped.
+func Federate(master []byte, hosts ...*Host) error {
+	for _, h := range hosts {
+		if h.keys == nil {
+			continue
+		}
+		wrapped, err := tpm.BindEncrypt(nil, h.keys.BindPub(), master)
+		if err != nil {
+			return fmt.Errorf("xvtpm: wrapping federation master for %s: %w", h.Name, err)
+		}
+		if err := h.keys.JoinFederation(wrapped); err != nil {
+			return fmt.Errorf("xvtpm: %s joining federation: %w", h.Name, err)
+		}
 	}
-	return h.keys.JoinFederation(wrapped)
+	return nil
 }
 
 // BeginMigration quiesces a guest for departure: the frontend closes, the
@@ -97,28 +107,12 @@ func (h *Host) ReattachGuest(g *Guest) (*Guest, error) {
 	return h.attachGuest(g.Dom, g.Instance, false)
 }
 
-// ReceiveImage activates a migrated guest from in-memory images — the
-// destination half the cluster's transfer leg hands over after shipping the
-// encoded instance image between hosts. A partial failure leaves nothing
-// behind: the imported instance is destroyed again if the domain restore or
-// device attach fails.
-func (h *Host) ReceiveImage(domImg *xen.DomainImage, img *vtpm.InstanceImage) (*Guest, error) {
-	id, err := h.Manager.ImportInstance(img)
-	if err != nil {
-		return nil, err
-	}
-	dom, err := h.HV.RestoreDomain(xen.Dom0, domImg)
-	if err != nil {
-		h.Manager.DestroyInstance(id) //nolint:errcheck // unwinding a partial import
-		return nil, err
-	}
-	g, err := h.attachGuest(dom, id, true)
-	if err != nil {
-		h.HV.DestroyDomain(xen.Dom0, dom.ID()) //nolint:errcheck // unwinding a partial import
-		h.destroyInstance(id)                  //nolint:errcheck // unwinding a partial import
-		return nil, err
-	}
-	return g, nil
+// AttachMigrated restores a moving guest's saved domain on this host and
+// attaches it to id, the instance this host adopted from the source's
+// committed checkpoint. A failure leaves nothing behind: the domain and the
+// instance are destroyed again.
+func (h *Host) AttachMigrated(domImg *xen.DomainImage, id vtpm.InstanceID) (*Guest, error) {
+	return h.attachAdopted(id, func() (*xen.Domain, error) { return h.HV.RestoreDomain(xen.Dom0, domImg) })
 }
 
 // AdoptGuest revives a guest from another host's committed checkpoint blob —
@@ -134,9 +128,17 @@ func (h *Host) AdoptGuest(spec GuestConfig, origID vtpm.InstanceID, blob []byte)
 	if err != nil {
 		return nil, err
 	}
-	dom, err := h.HV.CreateDomain(xen.DomainConfig{
-		Name: spec.Name, Kernel: spec.Kernel, Initrd: spec.Initrd, Cmdline: spec.Cmdline, Pages: spec.Pages,
+	return h.attachAdopted(id, func() (*xen.Domain, error) {
+		return h.HV.CreateDomain(xen.DomainConfig{
+			Name: spec.Name, Kernel: spec.Kernel, Initrd: spec.Initrd, Cmdline: spec.Cmdline, Pages: spec.Pages,
+		})
 	})
+}
+
+// attachAdopted attaches an adopted instance to the domain newDom builds,
+// destroying both again if either step fails.
+func (h *Host) attachAdopted(id vtpm.InstanceID, newDom func() (*xen.Domain, error)) (*Guest, error) {
+	dom, err := newDom()
 	if err != nil {
 		h.Manager.DestroyInstance(id) //nolint:errcheck // unwinding a partial adoption
 		return nil, err
@@ -148,9 +150,4 @@ func (h *Host) AdoptGuest(spec GuestConfig, origID vtpm.InstanceID, blob []byte)
 		return nil, err
 	}
 	return g, nil
-}
-
-// InstancePCRDigest fingerprints a local instance's full PCR bank.
-func (h *Host) InstancePCRDigest(id vtpm.InstanceID) ([tpm.DigestSize]byte, error) {
-	return h.Manager.PCRDigest(id)
 }

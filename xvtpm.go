@@ -371,7 +371,7 @@ func (h *Host) RegisterMetrics(reg *metrics.Registry) error {
 
 // Close releases background resources: it stops every guest's device
 // (StopDevices), drains pending write-behind checkpoints, then flushes the
-// improved guard's migration bind key from the hardware TPM. A non-nil error
+// improved guard's bind key from the hardware TPM. A non-nil error
 // means some instance's dirty state could not be persisted (the aggregate
 // names each one, joined with errors.Join) — shutdown completed, but not
 // silently.

@@ -472,14 +472,7 @@ func TestGuestChurnDropsGuardState(t *testing.T) {
 // any guest exists, as a cluster performs at boot, still succeeds.
 func TestFederationJoinAfterCreateGuestRefused(t *testing.T) {
 	secret := bytes.Repeat([]byte{0xfe}, 16)
-	join := func(h *Host) error {
-		t.Helper()
-		wrapped, err := tpm.BindEncrypt(nil, h.MigrationIdentity(), secret)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h.FederationJoin(wrapped)
-	}
+	join := func(h *Host) error { return Federate(secret, h) }
 	if err := join(newTestHost(t, "fed-early", ModeImproved)); err != nil {
 		t.Fatalf("join on a fresh host: %v", err)
 	}
@@ -494,7 +487,7 @@ func TestFederationJoinAfterCreateGuestRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := join(h); !errors.Is(err, core.ErrLateFederationJoin) {
-		t.Fatalf("FederationJoin after CreateGuest: err = %v, want ErrLateFederationJoin", err)
+		t.Fatalf("Federate after CreateGuest: err = %v, want ErrLateFederationJoin", err)
 	}
 	// Restart the instance from its stored checkpoint, as
 	// TestManagerRestartRevivesInstances does.
