@@ -55,8 +55,9 @@ func (p Phase) String() string { return phaseNames[p] }
 //     (bounded retry/backoff/deadline and the OpTransfer chaos hook per
 //     attempt). The envelope is the at-rest seal under the federation's
 //     state root; the saved domain image is handed over in memory.
-//  3. Revive: the destination adopts the checkpoint — it opens the envelope,
-//     restores the engine and checkpoints the instance locally.
+//  3. Revive: the destination adopts the checkpoint — it opens the envelope
+//     and restores the engine, setting up its RSA keys. It writes nothing:
+//     the destination copy's first checkpoint is the fenced one of step 5.
 //  4. Attach: the saved domain is restored and the guest's device attached.
 //  5. Verify: the destination's PCR bank must equal the quiesced source's
 //     before anything else happens; then the move epoch is stamped on the

@@ -132,13 +132,14 @@ func TestInboundMoveCostsNoHardwareTPM(t *testing.T) {
 }
 
 // logTap wraps the shared checkpoint log. Members write through it, so it
-// keeps the last bytes each name was committed with; a move's coordinator
-// reads through shipTap, which records the bytes it shipped and lets a test
-// rewrite them in flight.
+// keeps the last bytes each name was committed with and how many times; a
+// move's coordinator reads through shipTap, which records the bytes it
+// shipped and lets a test rewrite them in flight.
 type logTap struct {
 	vtpm.Store
 	mu        sync.Mutex
 	committed map[string][]byte
+	commits   map[string]int
 	shipped   []byte
 	tamper    func([]byte) []byte
 }
@@ -149,8 +150,16 @@ func (l *logTap) Put(name string, data []byte) error {
 	}
 	l.mu.Lock()
 	l.committed[name] = append([]byte(nil), data...)
+	l.commits[name]++
 	l.mu.Unlock()
 	return nil
+}
+
+// commitCount returns how many times name was committed.
+func (l *logTap) commitCount(name string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commits[name]
 }
 
 // lastCommitted returns the bytes name was last committed with.
@@ -187,7 +196,7 @@ func (s shipTap) Get(name string) ([]byte, error) {
 // tapLog puts a tap between c's members, its coordinator and the shared
 // log. It must run before c places any guest.
 func tapLog(c *Cluster) *logTap {
-	tap := &logTap{Store: c.shared, committed: make(map[string][]byte)}
+	tap := &logTap{Store: c.shared, committed: make(map[string][]byte), commits: make(map[string]int)}
 	for _, m := range c.Members() {
 		m.fs.shared = tap
 	}
@@ -372,6 +381,28 @@ func TestWritebackFlushBarriersCarryLatestMutation(t *testing.T) {
 	moved := ownerOf(t, c, "burst", "h1")
 	if got, err := moved.TPM.PCRRead(7); err != nil || got != want {
 		t.Fatalf("PCR 7 after the move = %x (%v), want the burst's last value %x", got, err, want)
+	}
+}
+
+// TestCommittedMoveWritesDestinationOnce: a committed move writes the
+// destination copy's checkpoint exactly once — the fenced checkpoint after
+// the verify step. Adoption writes nothing of its own.
+func TestCommittedMoveWritesDestinationOnce(t *testing.T) {
+	for _, mode := range []xvtpm.Mode{xvtpm.ModeBaseline, xvtpm.ModeImproved} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c, tap := tapCluster(t, mode)
+			createOn(t, c, "h0", "once", tpm.AnyProfile)
+			for _, dst := range []string{"h1", "h0", "h1"} {
+				if err := c.Migrate("once", dst); err != nil {
+					t.Fatal(err)
+				}
+				m, _ := c.Member(dst)
+				name := m.fs.qualify(vtpm.StateName(ownerOf(t, c, "once", dst).Instance))
+				if n := tap.commitCount(name); n != 1 {
+					t.Fatalf("the move to %s wrote the destination copy %d times, want 1", dst, n)
+				}
+			}
+		})
 	}
 }
 

@@ -154,8 +154,8 @@ type E6Phases struct {
 // the phase histograms the cluster keeps (ClusterStats.Phases). The ship
 // phase reads the source's committed checkpoint, which crosses as it sits
 // at rest (WireBytes); the improved guard's extra cost is its envelope —
-// opened in the revive phase, sealed again in revive and verify — with no
-// RSA operation of its own.
+// opened in the revive phase and sealed again in verify — with no RSA
+// operation of its own.
 func E6Migration(cfg Config) ([]E6Phases, error) {
 	moves := cfg.reps(50, 4)
 	var out []E6Phases

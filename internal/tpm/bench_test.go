@@ -2,6 +2,7 @@ package tpm
 
 import (
 	"crypto/sha1"
+	"fmt"
 	"testing"
 )
 
@@ -129,5 +130,23 @@ func BenchmarkContextSwap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUnmarshalPrivateKey measures setting up one restored RSA key —
+// parse, CRT derivation and Go's consistency check — which every engine
+// restore pays for its EK and SRK.
+func BenchmarkUnmarshalPrivateKey(b *testing.B) {
+	for _, bits := range []int{DefaultRSABits, 2048} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			blob := marshalPrivateKey(seededKey(b, bits, fmt.Sprintf("bench-key-%d", bits)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := unmarshalPrivateKey(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -199,13 +199,31 @@ func privateKeyB32(w *Writer, k *rsa.PrivateKey) {
 	binary.BigEndian.PutUint32(w.buf[at:], uint32(w.Len()-at-4))
 }
 
-// unmarshalPrivateKey reverses marshalPrivateKey and validates the key.
-// Precompute runs first so the key is set up once: since Go 1.24 it keeps
-// the CRT values only for a key that passes the full consistency check, and
-// Validate then returns at once for such a key. For any other key Precompute
-// leaves it untouched and Validate re-runs the check and reports the
-// failure. Older toolchains' Precompute checks nothing and reduces d modulo
-// p-1 and q-1, so primes below 2 are refused before it runs.
+// unmarshalPrivateKey reverses marshalPrivateKey and validates the key. It
+// is the one parser behind every restored RSA key: engine state restore
+// (revive, adoption, TPM 2.0), LoadKey2 and LoadContext.
+//
+// The parser derives the CRT values itself with math/big — dP = d mod (p−1),
+// dQ = d mod (q−1) and qInv = q⁻¹ mod p — and refuses a key whose q has no
+// inverse modulo p. Precompute then builds the key from those values. Under
+// Go 1.24 it does so through NewPrivateKeyWithPrecomputation, which refuses
+// the key unless d < n, p·q = n, d·e ≡ 1 modulo p−1 and q−1 (checked
+// through dP and dQ), qInv·q ≡ 1 mod p, |p−q| is large, d exceeds
+// 2^(nlen/2) and e is in range; Validate reports the refusal. Go 1.22 and
+// 1.23 keep the values as given, and Validate checks p·q = n and d·e ≡ 1
+// modulo p−1 and q−1. Left to derive qInv itself, Go 1.24's Precompute
+// computes q^(p−2) mod p, a constant-time exponentiation that costs about
+// four times everything else here. The derivation differs from that in two
+// ways:
+//
+//   - The derivation is variable-time in the primes, as it was in Go
+//     1.20–1.23. Timing side channels are outside the threat model (DESIGN
+//     §3): the adversary is a host that dumps memory.
+//   - A crafted key whose "prime" is composite but which passes every check
+//     above is no longer refused as a side effect of the Fermat inverse. No
+//     Go version promises that refusal, and such a key yields no output: the
+//     check Go runs after each signature, or OAEP's padding check, fails its
+//     first private operation.
 func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
 	r := NewReader(b)
 	n := new(big.Int).SetBytes(r.B32())
@@ -219,10 +237,20 @@ func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
 	if p.BitLen() < 2 || q.BitLen() < 2 {
 		return nil, fmt.Errorf("%w: prime factor below 2", ErrBadKey)
 	}
+	qInv := new(big.Int).ModInverse(q, p)
+	if qInv == nil {
+		return nil, fmt.Errorf("%w: q has no inverse modulo p", ErrBadKey)
+	}
+	one := big.NewInt(1)
 	k := &rsa.PrivateKey{
 		PublicKey: rsa.PublicKey{N: n, E: int(e)},
 		D:         d,
 		Primes:    []*big.Int{p, q},
+		Precomputed: rsa.PrecomputedValues{
+			Dp:   new(big.Int).Mod(d, new(big.Int).Sub(p, one)),
+			Dq:   new(big.Int).Mod(d, new(big.Int).Sub(q, one)),
+			Qinv: qInv,
+		},
 	}
 	k.Precompute()
 	if err := k.Validate(); err != nil {

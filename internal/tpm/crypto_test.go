@@ -1,9 +1,12 @@
 package tpm
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/rsa"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 	"time"
@@ -65,7 +68,8 @@ type corruptKeyBlob struct {
 
 // corruptKeyBlobs derives malformed private-key blobs from a valid key: one
 // bit flipped in each of n, d, p and q, a repeated prime, an even public
-// exponent, a prime below 2 and a truncated blob.
+// exponent, a prime below 2, a truncated blob, a q with no inverse modulo p,
+// an even p, a d at least n and a small d.
 func corruptKeyBlobs(k *rsa.PrivateKey) []corruptKeyBlob {
 	with := func(edit func(c *rsa.PrivateKey)) []byte {
 		c := &rsa.PrivateKey{
@@ -87,6 +91,10 @@ func corruptKeyBlobs(k *rsa.PrivateKey) []corruptKeyBlob {
 		{"e = 4", with(func(c *rsa.PrivateKey) { c.E = 4 })},
 		{"p = 1", with(func(c *rsa.PrivateKey) { c.Primes[0].SetInt64(1) })},
 		{"truncated", good[:len(good)-7]},
+		{"q multiple of p", with(func(c *rsa.PrivateKey) { c.Primes[1].Mul(c.Primes[1], c.Primes[0]) })},
+		{"p even", with(func(c *rsa.PrivateKey) { c.Primes[0].Add(c.Primes[0], big.NewInt(1)) })},
+		{"d >= n", with(func(c *rsa.PrivateKey) { c.D.Add(c.D, c.N) })},
+		{"d small", with(func(c *rsa.PrivateKey) { c.D.SetInt64(3) })},
 	}
 }
 
@@ -115,5 +123,95 @@ func TestUnmarshalPrivateKeyValidates(t *testing.T) {
 	}
 	if err := rsa.VerifyPKCS1v15(&ek.PublicKey, crypto.SHA1, digest, sig); err != nil {
 		t.Fatalf("signature by the parsed key does not verify: %v", err)
+	}
+}
+
+// seededKey generates a bits-bit RSA key from a seeded DRBG, the same on
+// every run.
+func seededKey(t testing.TB, bits int, seed string) *rsa.PrivateKey {
+	t.Helper()
+	k, err := rsa.GenerateKey(keygenReader{newDRBG([]byte(seed))}, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestUnmarshalPrivateKeyMatchesPrecompute: the CRT values the parser
+// derives with math/big are the ones Go's own Precompute derives for a fresh
+// copy of the same key, at every key size the engines use.
+func TestUnmarshalPrivateKeyMatchesPrecompute(t *testing.T) {
+	for _, bits := range []int{512, DefaultRSABits, 2048} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			k := seededKey(t, bits, fmt.Sprintf("crt-%d", bits))
+			ref := &rsa.PrivateKey{
+				PublicKey: rsa.PublicKey{N: new(big.Int).Set(k.N), E: k.E},
+				D:         new(big.Int).Set(k.D),
+				Primes:    []*big.Int{new(big.Int).Set(k.Primes[0]), new(big.Int).Set(k.Primes[1])},
+			}
+			ref.Precompute()
+			if ref.Precomputed.Qinv == nil {
+				t.Fatal("Go's Precompute derived no CRT values for a generated key")
+			}
+			got, err := unmarshalPrivateKey(marshalPrivateKey(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []struct {
+				name      string
+				got, want *big.Int
+			}{
+				{"Dp", got.Precomputed.Dp, ref.Precomputed.Dp},
+				{"Dq", got.Precomputed.Dq, ref.Precomputed.Dq},
+				{"Qinv", got.Precomputed.Qinv, ref.Precomputed.Qinv},
+			} {
+				if v.got == nil || v.got.Cmp(v.want) != 0 {
+					t.Errorf("%s = %v, Precompute derives %v", v.name, v.got, v.want)
+				}
+			}
+		})
+	}
+}
+
+// spliceKey returns state with the B32 field that holds the key blob good
+// replaced by one holding bad.
+func spliceKey(t *testing.T, state, good, bad []byte) []byte {
+	t.Helper()
+	at := bytes.Index(state, good)
+	if at < 4 || binary.BigEndian.Uint32(state[at-4:]) != uint32(len(good)) {
+		t.Fatal("key field not found in the state blob")
+	}
+	return NewWriter().Raw(state[:at-4]).B32(bad).Raw(state[at+len(good):]).Bytes()
+}
+
+// TestRestoreRefusesCorruptKeys: every corrupted key, spliced in place of
+// the EK of a 1.2 or a 2.0 state blob, makes that engine's restore fail with
+// ErrBadKey, while the untouched blob restores.
+func TestRestoreRefusesCorruptKeys(t *testing.T) {
+	eng12, _ := newOwnedTPM(t, "splice-1.2")
+	eng20, err := New2(Config{RSABits: testBits, Seed: []byte("splice-2.0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []struct {
+		name    string
+		ek      *rsa.PrivateKey
+		state   []byte
+		restore func([]byte) error
+	}{
+		{"RestoreState", eng12.ek, eng12.SaveState(), func(b []byte) error { _, err := RestoreState(b); return err }},
+		{"RestoreState2", eng20.ek, eng20.SaveState(), func(b []byte) error { _, err := RestoreState2(b); return err }},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			good := marshalPrivateKey(e.ek)
+			if err := e.restore(spliceKey(t, e.state, good, good)); err != nil {
+				t.Fatalf("the untouched blob does not restore: %v", err)
+			}
+			for _, tc := range corruptKeyBlobs(e.ek) {
+				if err := e.restore(spliceKey(t, e.state, good, tc.blob)); !errors.Is(err, ErrBadKey) {
+					t.Errorf("%s: restore err %v; want ErrBadKey", tc.name, err)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,10 @@ package vtpm
 import (
 	"bytes"
 	"crypto/sha1"
+	"errors"
 	"testing"
+
+	"xvtpm/internal/xen"
 )
 
 // adoptionRig builds a source manager with one unbound, stateful instance at
@@ -54,8 +57,10 @@ func assertNothingCommitted(t *testing.T, mgr *Manager, what string) {
 
 // TestAdoptCheckpointCarriesState: a second manager adopting an instance's
 // committed checkpoint holds the very engine state the source committed,
-// with its profile and epoch, under a local ID of its own, unbound — and
-// has stored its own first checkpoint of it.
+// with its profile and epoch, under a local ID of its own, unbound — and has
+// stored nothing under that ID: the first checkpoint is its caller's to
+// write (a move's fenced checkpoint; Host.AdoptGuest's for an evacuation,
+// whose test checks that write).
 func TestAdoptCheckpointCarriesState(t *testing.T) {
 	src, id, blob := adoptionRig(t)
 	_, _, dst, _ := newTestRig(t, &passGuard{})
@@ -82,9 +87,36 @@ func TestAdoptCheckpointCarriesState(t *testing.T) {
 	if !bytes.Equal(dstInst.eng.SaveState(), srcInst.eng.SaveState()) {
 		t.Fatal("adopted engine state differs from the source's")
 	}
-	if _, err := dst.Store().Get(stateName(nid)); err != nil {
-		t.Fatalf("adopted instance has no checkpoint of its own: %v", err)
+	if _, err := dst.Store().Get(stateName(nid)); !errors.Is(err, ErrNoState) {
+		t.Fatalf("adoption stored a checkpoint of its own (err %v); its caller writes the first one", err)
 	}
+}
+
+// TestAdoptCheckpointNeedsManagerMemory: adoption reserves the adopted
+// instance's dom0 mirror, so a manager whose arena is exhausted refuses the
+// adoption and registers nothing, instead of handing its caller an instance
+// whose first checkpoint cannot be mirrored.
+func TestAdoptCheckpointNeedsManagerMemory(t *testing.T) {
+	_, id, blob := adoptionRig(t)
+	hv := xen.NewHypervisor(xen.DomainConfig{Name: "Domain-0", Pages: 32})
+	dom0, err := hv.Domain(xen.Dom0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := xen.NewArena(dom0)
+	for {
+		if _, err := arena.Alloc(xen.PageSize); err != nil {
+			break
+		}
+	}
+	dst := NewManager(hv, NewMemStore(), arena, &passGuard{}, ManagerConfig{
+		RSABits: testBits, Seed: []byte("no-memory"),
+	})
+	defer dst.Close()
+	if nid, err := dst.AdoptCheckpoint(id, blob); err == nil {
+		t.Fatalf("adopted instance %d with no manager memory left", nid)
+	}
+	assertNothingCommitted(t, dst, "adoption without manager memory")
 }
 
 // TestExportImportInstance: an instance leaves its manager as its committed
@@ -134,15 +166,18 @@ func TestExportImportInstance(t *testing.T) {
 }
 
 // TestInstanceImageWireRoundTrip: an instance's wire image is its committed
-// checkpoint, and the checkpoint an importer commits is a wire image in
-// turn — an instance shipped out and back to a third manager reads the
-// source's PCR.
+// checkpoint, and the first checkpoint an importer commits after adoption
+// (a move's fenced checkpoint) is a wire image in turn — an instance
+// shipped out and back to a third manager reads the source's PCR.
 func TestInstanceImageWireRoundTrip(t *testing.T) {
 	src, id, blob := adoptionRig(t)
 	_, _, dst, _ := newTestRig(t, &passGuard{})
 	nid, err := dst.AdoptCheckpoint(id, blob)
 	if err != nil {
 		t.Fatalf("AdoptCheckpoint out: %v", err)
+	}
+	if err := dst.Checkpoint(nid); err != nil {
+		t.Fatal(err)
 	}
 	back, err := dst.Store().Get(stateName(nid))
 	if err != nil {

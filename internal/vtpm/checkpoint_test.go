@@ -300,60 +300,39 @@ func (f *failStore) Put(name string, blob []byte) error {
 	return f.Store.Put(name, blob)
 }
 
-// TestFailedFirstCheckpointLeavesNoInstance: create and adopt each register
-// an instance and then force its first checkpoint. When that checkpoint
-// fails, the call must return the error and leave nothing registered under
-// the ID it never returned — on adoption, that orphan would hold a
-// decrypted copy of a guest's vTPM after the move rolled back.
+// TestFailedFirstCheckpointLeavesNoInstance: create registers an instance
+// and then forces its first checkpoint. When that checkpoint fails, the call
+// must return the error and leave nothing registered under the ID it never
+// returned. Adoption writes no checkpoint; Host.AdoptGuest, which writes an
+// evacuated guest's first one, is held to the same rule by
+// TestAdoptGuestFailedFirstCheckpointLeavesNoInstance.
 func TestFailedFirstCheckpointLeavesNoInstance(t *testing.T) {
-	srcStore := NewMemStore()
-	_, src := newCkptRig(t, srcStore, &passGuard{}, ManagerConfig{
-		RSABits: testBits, Seed: []byte("orphan-src"),
-	})
-	defer src.Close()
-	srcID, err := src.CreateInstance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := srcStore.Get(stateName(srcID))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name string
-		run  func(*Manager) (InstanceID, error)
-	}{
-		{"create", func(m *Manager) (InstanceID, error) { return m.CreateInstance() }},
-		{"adopt", func(m *Manager) (InstanceID, error) { return m.AdoptCheckpoint(srcID, blob) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// The new instance takes ID 1, the name whose write fails.
-			fs := &failStore{Store: NewMemStore(), failName: stateName(1)}
-			_, mgr := newCkptRig(t, fs, &passGuard{}, ManagerConfig{
-				RSABits: testBits, Seed: []byte("orphan-dst"),
-				Retry: RetryPolicy{MaxAttempts: 1},
-			})
-			defer mgr.Close()
-			before := mgr.Instances()
-			id, err := tc.run(mgr)
-			if err == nil {
-				t.Fatalf("%s returned instance %d although its first checkpoint failed", tc.name, id)
-			}
-			if !strings.Contains(err.Error(), "injected store failure") {
-				t.Fatalf("%s error does not carry the checkpoint failure: %v", tc.name, err)
-			}
-			if after := mgr.Instances(); len(after) != len(before) {
-				t.Fatalf("Instances() %v → %v after the failed %s", before, after, tc.name)
-			}
-			if _, err := mgr.DirectClient(1); !errors.Is(err, ErrNoInstance) {
-				t.Fatalf("instance 1 still answers after the failed %s: %v", tc.name, err)
-			}
-			if s := mgr.CheckpointStats(); s.DegradedNow != 0 || s.QuarantinedNow != 0 {
-				t.Fatalf("health gauges count the torn-down instance: %+v", s)
-			}
+	t.Run("create", func(t *testing.T) {
+		// The new instance takes ID 1, the name whose write fails.
+		fs := &failStore{Store: NewMemStore(), failName: stateName(1)}
+		_, mgr := newCkptRig(t, fs, &passGuard{}, ManagerConfig{
+			RSABits: testBits, Seed: []byte("orphan-dst"),
+			Retry: RetryPolicy{MaxAttempts: 1},
 		})
-	}
+		defer mgr.Close()
+		before := mgr.Instances()
+		id, err := mgr.CreateInstance()
+		if err == nil {
+			t.Fatalf("create returned instance %d although its first checkpoint failed", id)
+		}
+		if !strings.Contains(err.Error(), "injected store failure") {
+			t.Fatalf("create error does not carry the checkpoint failure: %v", err)
+		}
+		if after := mgr.Instances(); len(after) != len(before) {
+			t.Fatalf("Instances() %v → %v after the failed create", before, after)
+		}
+		if _, err := mgr.DirectClient(1); !errors.Is(err, ErrNoInstance) {
+			t.Fatalf("instance 1 still answers after the failed create: %v", err)
+		}
+		if s := mgr.CheckpointStats(); s.DegradedNow != 0 || s.QuarantinedNow != 0 {
+			t.Fatalf("health gauges count the torn-down instance: %+v", s)
+		}
+	})
 }
 
 // TestCheckpointAllContinuesPastFailure: one wedged instance must not block

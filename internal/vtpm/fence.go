@@ -141,8 +141,13 @@ func (m *Manager) PCRDigest(id InstanceID) ([tpm.DigestSize]byte, error) {
 // host can open it). A blob of a profile this manager is not pinned to is
 // refused with ErrProfileMismatch before its envelope is opened. The adopted
 // instance registers under a fresh local ID, unbound, carrying the epoch the
-// blob was committed at, and is checkpointed locally before the new ID is
-// returned; on any error nothing stays registered or stored.
+// blob was committed at; on any error nothing stays registered. Adoption
+// writes nothing: the caller commits the instance's first checkpoint under
+// its new name — a move's fenced checkpoint once the destination copy is
+// verified, or Host.AdoptGuest's for an evacuated guest. It does reserve the
+// instance's dom0 mirror, sized to the blob, which that checkpoint fills: a
+// host whose manager memory cannot hold the copy refuses the adoption
+// before its caller attaches a domain to it.
 func (m *Manager) AdoptCheckpoint(origID InstanceID, blob []byte) (InstanceID, error) {
 	declared, epoch, envelope, err := UnwrapCheckpointEpoch(blob)
 	if err != nil {
@@ -160,13 +165,18 @@ func (m *Manager) AdoptCheckpoint(origID InstanceID, blob []byte) (InstanceID, e
 	if err != nil {
 		return 0, fmt.Errorf("vtpm: restoring foreign state of instance %d: %w", origID, err)
 	}
+	mirror, err := m.arena.Alloc(len(blob))
+	if err != nil {
+		return 0, fmt.Errorf("vtpm: reserving the mirror of foreign instance %d: %w", origID, err)
+	}
 	m.regMu.Lock()
 	id := m.nextID
 	m.nextID++
 	inst := m.newInstance(InstanceInfo{ID: id, Profile: declared, Epoch: epoch}, eng)
+	inst.mirror = mirror
 	m.instances[id] = inst
 	m.regMu.Unlock()
-	return m.firstCheckpoint(id, inst)
+	return id, nil
 }
 
 // StateName is the store key of an instance's checkpoint blob, exported for

@@ -347,14 +347,9 @@ func (m *Manager) CreateInstanceProfile(p tpm.Profile) (InstanceID, error) {
 	m.regMu.Lock()
 	m.instances[id] = inst
 	m.regMu.Unlock()
-	return m.firstCheckpoint(id, inst)
-}
-
-// firstCheckpoint forces the first checkpoint of an instance just registered
-// under id. If it fails, the instance is destroyed again before the error is
-// returned: no instance may stay registered — on adoption, holding a decrypted
-// copy of a guest's vTPM — under an ID its caller never learns.
-func (m *Manager) firstCheckpoint(id InstanceID, inst *instance) (InstanceID, error) {
+	// Force the first checkpoint. If it fails, the instance is destroyed
+	// again before the error is returned: no instance may stay registered
+	// under an ID its caller never learns.
 	if err := m.checkpointInstance(inst, true); err != nil {
 		m.DestroyInstance(id) //nolint:errcheck // the checkpoint failure is the error to report
 		return 0, err

@@ -119,13 +119,21 @@ func (h *Host) AttachMigrated(domImg *xen.DomainImage, id vtpm.InstanceID) (*Gue
 // the failure-driven evacuation path. origID is the instance's ID on the
 // host that wrote the blob; spec recreates the guest domain (the launch
 // measurement must match the original, or the improved guard's binding will
-// refuse the new domain's commands).
+// refuse the new domain's commands). The adopted instance is checkpointed
+// under its new name before its domain is built: evacuation reassigns the
+// guest to this host before it writes the fenced checkpoint, and if this
+// host dies in between, that blob is the only state under the guest's new
+// name. If the checkpoint fails, the instance is destroyed again.
 func (h *Host) AdoptGuest(spec GuestConfig, origID vtpm.InstanceID, blob []byte) (*Guest, error) {
 	if len(spec.Kernel) == 0 {
 		return nil, errors.New("xvtpm: adopted guest needs a kernel to be measured")
 	}
 	id, err := h.Manager.AdoptCheckpoint(origID, blob)
 	if err != nil {
+		return nil, err
+	}
+	if err := h.Manager.Checkpoint(id); err != nil {
+		h.Manager.DestroyInstance(id) //nolint:errcheck // the checkpoint failure is the error to report
 		return nil, err
 	}
 	return h.attachAdopted(id, func() (*xen.Domain, error) {
