@@ -50,7 +50,7 @@ func NewPrivacyCA(bits int) (*PrivacyCA, error) {
 	if bits == 0 {
 		bits = tpm.DefaultRSABits
 	}
-	key, err := rsa.GenerateKey(rand.Reader, bits)
+	key, err := tpm.GenerateKey(rand.Reader, bits)
 	if err != nil {
 		return nil, err
 	}

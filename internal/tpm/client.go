@@ -442,6 +442,11 @@ func (c *Client) ForceClear() error {
 // TakeOwnership installs owner and SRK secrets, returning the SRK public
 // key. Secrets travel OAEP-encrypted under the EK.
 func (c *Client) TakeOwnership(ownerAuth, srkAuth [AuthSize]byte) (*rsa.PublicKey, error) {
+	return c.takeOwnership(ownerAuth, srkAuth, KeyParams{Usage: KeyUsageStorage, Scheme: ESRSAESOAEP})
+}
+
+// takeOwnership is TakeOwnership with the SRK's key parameters given.
+func (c *Client) takeOwnership(ownerAuth, srkAuth [AuthSize]byte, srkParams KeyParams) (*rsa.PublicKey, error) {
 	ekPub, err := c.ReadPubek()
 	if err != nil {
 		return nil, fmt.Errorf("reading EK: %w", err)
@@ -458,7 +463,7 @@ func (c *Client) TakeOwnership(ownerAuth, srkAuth [AuthSize]byte) (*rsa.PublicKe
 	w.U16(protocolIDOwner)
 	w.B32(encOwner)
 	w.B32(encSRK)
-	KeyParams{Usage: KeyUsageStorage, Scheme: ESRSAESOAEP}.Marshal(w)
+	srkParams.Marshal(w)
 	sess, err := c.oiap(ownerAuth[:])
 	if err != nil {
 		return nil, err

@@ -81,6 +81,7 @@ const (
 	RCFail              uint32 = 0x00000009
 	RCBadOrdinal        uint32 = 0x0000000A
 	RCBadKeyHandle      uint32 = 0x00000011 // TPM_INVALID_KEYHANDLE
+	RCBadKeyProperty    uint32 = 0x00000028 // TPM_BAD_KEY_PROPERTY
 	RCBadTag            uint32 = 0x0000001E
 	RCInvalidAuthHandle uint32 = 0x00000024
 	RCNoSpace           uint32 = 0x00000011 + 0x100 // engine-local: out of key slots

@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Crypto errors.
@@ -20,6 +22,7 @@ var (
 	ErrEnvelope   = errors.New("tpm: envelope authentication failed")
 	ErrBadKey     = errors.New("tpm: malformed key material")
 	ErrWrongProof = errors.New("tpm: blob bound to a different TPM")
+	ErrKeySize    = errors.New("tpm: unsupported RSA key size")
 )
 
 // oaepLabel is the OAEP encoding parameter TPM 1.2 mandates.
@@ -201,9 +204,25 @@ func privateKeyB32(w *Writer, k *rsa.PrivateKey) {
 
 // unmarshalPrivateKey reverses marshalPrivateKey and validates the key. It
 // is the one parser behind every restored RSA key: engine state restore
-// (revive, adoption, TPM 2.0), LoadKey2 and LoadContext.
+// (revive, adoption, TPM 2.0), LoadKey2 and LoadContext. newPrivateKey sets
+// the key up and validates it.
+func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
+	r := NewReader(b)
+	n := new(big.Int).SetBytes(r.B32())
+	e := r.U32()
+	d := new(big.Int).SetBytes(r.B32())
+	p := new(big.Int).SetBytes(r.B32())
+	q := new(big.Int).SetBytes(r.B32())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadKey, err)
+	}
+	return newPrivateKey(n, int(e), d, p, q)
+}
+
+// newPrivateKey builds the key (n, e, d, p, q) and validates it, so a
+// generated key passes exactly the checks a restored one does.
 //
-// The parser derives the CRT values itself with math/big — dP = d mod (p−1),
+// It derives the CRT values itself with math/big — dP = d mod (p−1),
 // dQ = d mod (q−1) and qInv = q⁻¹ mod p — and refuses a key whose q has no
 // inverse modulo p. Precompute then builds the key from those values. Under
 // Go 1.24 it does so through NewPrivateKeyWithPrecomputation, which refuses
@@ -224,16 +243,7 @@ func privateKeyB32(w *Writer, k *rsa.PrivateKey) {
 //     Go version promises that refusal, and such a key yields no output: the
 //     check Go runs after each signature, or OAEP's padding check, fails its
 //     first private operation.
-func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
-	r := NewReader(b)
-	n := new(big.Int).SetBytes(r.B32())
-	e := r.U32()
-	d := new(big.Int).SetBytes(r.B32())
-	p := new(big.Int).SetBytes(r.B32())
-	q := new(big.Int).SetBytes(r.B32())
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadKey, err)
-	}
+func newPrivateKey(n *big.Int, e int, d, p, q *big.Int) (*rsa.PrivateKey, error) {
 	if p.BitLen() < 2 || q.BitLen() < 2 {
 		return nil, fmt.Errorf("%w: prime factor below 2", ErrBadKey)
 	}
@@ -243,7 +253,7 @@ func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
 	}
 	one := big.NewInt(1)
 	k := &rsa.PrivateKey{
-		PublicKey: rsa.PublicKey{N: n, E: int(e)},
+		PublicKey: rsa.PublicKey{N: n, E: e},
 		D:         d,
 		Primes:    []*big.Int{p, q},
 		Precomputed: rsa.PrecomputedValues{
@@ -257,6 +267,167 @@ func unmarshalPrivateKey(b []byte) (*rsa.PrivateKey, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadKey, err)
 	}
 	return k, nil
+}
+
+// supportedKeySize reports whether bits is an RSA modulus size the engines
+// generate and restore: TPM 1.2's key lengths of 512, 1,024 and 2,048 bits.
+// It bounds what a guest (TakeOwnership, CreateWrapKey) or a state blob can
+// make the host generate.
+func supportedKeySize(bits int) bool {
+	switch bits {
+	case 512, 1024, 2048:
+		return true
+	}
+	return false
+}
+
+// keyExponent is the public exponent of every generated key.
+const keyExponent = 65537
+
+// GenerateKey generates an RSA key of a supported size with public exponent
+// 65537. It is the one key generator behind the engines' keys (EK, SRK, AIK
+// and wrap keys), the key pool and the privacy CA, and it refuses any other
+// size with ErrKeySize.
+//
+// It follows Go 1.24's crypto/rsa.GenerateKey step by step, so from the
+// same stream of bytes it derives the same key:
+//
+//   - Each prime candidate is one read of ⌈bits/8⌉ bytes, with the excess
+//     bits shifted off and the top two bits and the low bit set.
+//   - p is drawn, then q. Both are drawn again when the odd part of
+//     gcd(p−1, q−1) exceeds 32 bits or 65537 has no inverse modulo
+//     λ(N) = lcm(p−1, q−1).
+//   - d = 65537⁻¹ mod λ(N), on every toolchain (Go 1.22's own generator
+//     takes it modulo (p−1)(q−1)).
+//
+// It departs from Go in two ways. It never reads an extra byte at random
+// before a candidate (Go's randutil.MaybeReadByte), so a seeded reader
+// gives the same key on every run. And it tests candidates with math/big:
+// trial division by the odd primes below 1,024 (hasSmallFactor), then
+// ProbablyPrime with Go 1.24's Miller–Rabin round count, which adds a
+// Baillie–PSW test. Go 1.24 screens each candidate with a constant-time
+// GCD against a product of small primes, which made up two-thirds of its
+// key generation. The test is variable-time in the candidates, as Go's
+// was through 1.23; timing side channels are outside the threat model
+// (DESIGN §3). newPrivateKey assembles and validates the key as it does a
+// restored one.
+func GenerateKey(r io.Reader, bits int) (*rsa.PrivateKey, error) {
+	if !supportedKeySize(bits) {
+		return nil, fmt.Errorf("%w: %d bits", ErrKeySize, bits)
+	}
+	e := big.NewInt(keyExponent)
+	one := big.NewInt(1)
+	for {
+		p, err := randomPrime(r, (bits+1)/2)
+		if err != nil {
+			return nil, err
+		}
+		q, err := randomPrime(r, bits/2)
+		if err != nil {
+			return nil, err
+		}
+		if p.Cmp(q) == 0 {
+			return nil, errors.New("tpm: generated p == q, random source is broken")
+		}
+		pm1 := new(big.Int).Sub(p, one)
+		qm1 := new(big.Int).Sub(q, one)
+		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
+		if new(big.Int).Rsh(gcd, gcd.TrailingZeroBits()).BitLen() > 32 {
+			continue // Go's limit on the divisor of lcm(p−1, q−1)
+		}
+		lambda := new(big.Int).Mul(pm1, qm1)
+		lambda.Quo(lambda, gcd)
+		d := new(big.Int).ModInverse(e, lambda)
+		if d == nil {
+			continue
+		}
+		return newPrivateKey(new(big.Int).Mul(p, q), keyExponent, d, p, q)
+	}
+}
+
+// randomPrime draws prime candidates of the given size from r, as Go
+// 1.24's crypto/internal/fips140/rsa.randomPrime does, until one is prime.
+func randomPrime(r io.Reader, bits int) (*big.Int, error) {
+	b := make([]byte, (bits+7)/8)
+	w := new(big.Int)
+	rounds := millerRabinRounds(bits)
+	for {
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("tpm: drawing a prime candidate: %w", err)
+		}
+		excess := len(b)*8 - bits
+		b[0] >>= excess
+		if excess < 7 {
+			b[0] |= 0b1100_0000 >> excess
+		} else {
+			b[0] |= 0b0000_0001
+			b[1] |= 0b1000_0000
+		}
+		b[len(b)-1] |= 1
+		w.SetBytes(b)
+		if !hasSmallFactor(w) && w.ProbablyPrime(rounds) {
+			return w, nil
+		}
+	}
+}
+
+// millerRabinRounds is the number of Miller–Rabin rounds Go 1.24 runs on a
+// random prime candidate of the given size, from the two rows of its table
+// that the supported key sizes reach (their primes have 256, 512 and 1,024
+// bits): 27 rounds for 55–307 bits and 5 for 476–1,344 bits.
+func millerRabinRounds(bits int) int {
+	if bits >= 476 {
+		return 5
+	}
+	return 27
+}
+
+// smallPrimeGroups holds the odd primes below 1,024, in ascending order and
+// grouped so that each group's product fits in one machine word.
+var smallPrimeGroups = groupSmallPrimes(1024)
+
+// primeGroup is a run of small primes and their product.
+type primeGroup struct {
+	product uint
+	primes  []uint
+}
+
+// groupSmallPrimes lists the odd primes below limit in word-sized groups.
+func groupSmallPrimes(limit uint) []primeGroup {
+	var groups []primeGroup
+	g := primeGroup{product: 1}
+	for p := uint(3); p < limit; p += 2 {
+		if !big.NewInt(int64(p)).ProbablyPrime(0) { // exact below 2⁶⁴
+			continue
+		}
+		if g.product > math.MaxUint/p {
+			groups = append(groups, g)
+			g = primeGroup{product: 1}
+		}
+		g.product *= p
+		g.primes = append(g.primes, p)
+	}
+	return append(groups, g)
+}
+
+// hasSmallFactor reports whether w, which must exceed 1,024, is divisible
+// by an odd prime below 1,024. It takes one remainder of w per group,
+// folding w's words in from the top, and allocates nothing. The smallest
+// primes come first, so most composites are refused by the first group.
+func hasSmallFactor(w *big.Int) bool {
+	words := w.Bits()
+	for _, g := range smallPrimeGroups {
+		var rem uint
+		for i := len(words) - 1; i >= 0; i-- {
+			rem = bits.Rem(rem, uint(words[i]), g.product)
+		}
+		for _, p := range g.primes {
+			if rem%p == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // MarshalPublicKey serializes an RSA public key (n, e); the inverse of

@@ -24,8 +24,7 @@ func testEK(t testing.TB, seed string) *rsa.PrivateKey {
 
 // TestSeededKeysRepeat: a seeded engine's keys — its EK and the keys it
 // generates later — and a seeded key pool's sequence come out the same on
-// every run, although crypto/rsa reads a random extra byte per prime
-// candidate.
+// every run.
 func TestSeededKeysRepeat(t *testing.T) {
 	same := func(what string, a, b *rsa.PrivateKey) {
 		t.Helper()
@@ -39,7 +38,7 @@ func TestSeededKeysRepeat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := generateRSA(eng, testBits)
+		k, err := newKey(eng.keyPool, eng.keyRng, testBits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +129,7 @@ func TestUnmarshalPrivateKeyValidates(t *testing.T) {
 // every run.
 func seededKey(t testing.TB, bits int, seed string) *rsa.PrivateKey {
 	t.Helper()
-	k, err := rsa.GenerateKey(keygenReader{newDRBG([]byte(seed))}, bits)
+	k, err := GenerateKey(newDRBG([]byte(seed)), bits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,21 +106,6 @@ func (d *drbg) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// keygenReader is the stream an engine hands crypto/rsa.GenerateKey. The
-// standard library reads one extra byte at random before each prime
-// candidate (randutil.MaybeReadByte), so its keys do not follow from the
-// source's bytes alone; answering every single-byte read without advancing
-// the stream takes that coin flip out, and a seeded engine's keys repeat.
-type keygenReader struct{ d *drbg }
-
-func (r keygenReader) Read(p []byte) (int, error) {
-	if len(p) == 1 {
-		p[0] = 0
-		return 1, nil
-	}
-	return r.d.Read(p)
-}
-
 // Reseed mixes additional entropy into the generator (TPM_StirRandom).
 func (d *drbg) Reseed(entropy []byte) {
 	d.mu.Lock()

@@ -137,6 +137,7 @@ func FuzzRestoreState2(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0xFF
 	f.Add(flipped)
+	f.Add(withKeySize(good, 4096))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		revived, err := RestoreState2(blob)
 		if err != nil {

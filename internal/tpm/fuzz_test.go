@@ -66,6 +66,7 @@ func FuzzRestoreState(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0xFF
 	f.Add(flipped)
+	f.Add(withKeySize(good, 4096))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		revived, err := RestoreState(blob)
 		if err != nil {

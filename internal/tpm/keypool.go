@@ -10,10 +10,11 @@ import (
 
 // KeyPool pre-generates RSA keys in the background so instance creation and
 // key-creation ordinals (TakeOwnership's SRK, MakeIdentity's AIK,
-// CreateWrapKey) stop stalling on multi-millisecond rsa.GenerateKey calls.
-// Engines with a pool attached draw from it first and fall back to their own
-// key DRBG when the buffer is empty or the modulus size differs, so a pool
-// is an optimization, never a correctness dependency.
+// CreateWrapKey) stop waiting for GenerateKey, whose cost spreads with the
+// number of prime candidates it draws. Engines with a pool attached draw
+// from it first and fall back to their own key DRBG when the buffer is
+// empty or the modulus size differs (newKey), so a pool is an
+// optimization, never a correctness dependency.
 //
 // Determinism: with a nil Seed the pool draws from crypto/rand. With a Seed
 // the generator stream is deterministic — the SEQUENCE of keys produced is
@@ -79,7 +80,7 @@ func NewKeyPool(cfg KeyPoolConfig) *KeyPool {
 	}
 	var rng io.Reader = rand.Reader
 	if cfg.Seed != nil {
-		rng = keygenReader{newDRBG(append(append([]byte(nil), cfg.Seed...), []byte("|keypool")...))}
+		rng = newDRBG(append(append([]byte(nil), cfg.Seed...), []byte("|keypool")...))
 	}
 	p.wg.Add(cfg.Fillers)
 	for i := 0; i < cfg.Fillers; i++ {
@@ -97,7 +98,7 @@ func (p *KeyPool) fill(rng io.Reader) {
 			return
 		default:
 		}
-		k, err := rsa.GenerateKey(rng, p.bits)
+		k, err := GenerateKey(rng, p.bits)
 		if err != nil {
 			return
 		}
@@ -108,6 +109,16 @@ func (p *KeyPool) fill(rng io.Reader) {
 			return
 		}
 	}
+}
+
+// newKey returns a pooled key of the given size, or, on a miss, one
+// generated from rng, an engine's key DRBG. Both engines make every key
+// through it: the EK at creation, and the SRK, AIK and wrap keys.
+func newKey(pool *KeyPool, rng io.Reader, bits int) (*rsa.PrivateKey, error) {
+	if k, ok := pool.Get(bits); ok {
+		return k, nil
+	}
+	return GenerateKey(rng, bits)
 }
 
 // Get returns a pooled key of the requested size without blocking. A miss

@@ -61,6 +61,20 @@ func adipDecryptOdd(sharedSecret []byte, nonceOdd [NonceSize]byte, encAuth []byt
 	return out
 }
 
+// keyBits is the modulus size a key-creating ordinal generates for params:
+// the engine's own size when params leave it 0. A size off the supported
+// list is refused with TPM_BAD_KEY_PROPERTY before any key is drawn, so a
+// guest cannot make the host generate keys of a size it picks.
+func keyBits(t *TPM, params KeyParams) (int, uint32) {
+	if params.Bits == 0 {
+		return t.rsaBits, RCSuccess
+	}
+	if bits := int(params.Bits); supportedKeySize(bits) {
+		return bits, RCSuccess
+	}
+	return 0, RCBadKeyProperty
+}
+
 // cmdTakeOwnership installs an owner and creates the SRK. The new owner and
 // SRK secrets arrive OAEP-encrypted under the EK, so only a party that chose
 // this physical TPM can own it; the auth1 session proves knowledge of the
@@ -94,11 +108,11 @@ func cmdTakeOwnership(ctx *cmdContext) (*Writer, uint32) {
 	if srkParams.Usage != KeyUsageStorage {
 		return nil, RCBadParameter
 	}
-	bits := int(srkParams.Bits)
-	if bits == 0 {
-		bits = t.rsaBits
+	bits, rc := keyBits(t, srkParams)
+	if rc != RCSuccess {
+		return nil, rc
 	}
-	srkKey, err := generateRSA(t, bits)
+	srkKey, err := newKey(t.keyPool, t.keyRng, bits)
 	if err != nil {
 		return nil, RCFail
 	}
@@ -196,11 +210,11 @@ func cmdCreateWrapKey(ctx *cmdContext) (*Writer, uint32) {
 	// The migration secret rides under a second ADIP pad keyed on the odd
 	// nonce, per the spec's two-secret transport.
 	migAuth := adipDecryptOdd(sess.sharedSecret, ctx.auths[0].nonceOdd, encMigAuth)
-	bits := int(keyInfo.Bits)
-	if bits == 0 {
-		bits = t.rsaBits
+	bits, rc := keyBits(t, keyInfo)
+	if rc != RCSuccess {
+		return nil, rc
 	}
-	child, err := generateRSA(t, bits)
+	child, err := newKey(t.keyPool, t.keyRng, bits)
 	if err != nil {
 		return nil, RCFail
 	}

@@ -134,6 +134,9 @@ func RestoreState(blob []byte) (*TPM, error) {
 		nextHandle:  0x01000000,
 		nextSession: 0x02000000,
 	}
+	if !supportedKeySize(t.rsaBits) {
+		return nil, fmt.Errorf("%w: state blob sizes keys at %d bits", ErrKeySize, t.rsaBits)
+	}
 	t.started = r.U8() == 1
 	for i := range t.pcrs {
 		copy(t.pcrs[i][:], r.Raw(DigestSize))

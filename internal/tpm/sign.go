@@ -258,7 +258,7 @@ func cmdMakeIdentity(ctx *cmdContext) (*Writer, uint32) {
 		return nil, rc
 	}
 	usageAuth := adipDecrypt(sess.sharedSecret, ctx.auths[0].lastEven, encUsageAuth)
-	aik, err := generateRSA(t, t.rsaBits)
+	aik, err := newKey(t.keyPool, t.keyRng, t.rsaBits)
 	if err != nil {
 		return nil, RCFail
 	}

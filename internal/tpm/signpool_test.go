@@ -96,7 +96,7 @@ func TestMerkleBatchRoundTrip(t *testing.T) {
 // testSignKey returns a deterministic RSA key for codec tests.
 func testSignKey(t testing.TB) *rsa.PrivateKey {
 	t.Helper()
-	key, err := rsa.GenerateKey(newDRBG([]byte("codec-key")), testBits)
+	key, err := GenerateKey(newDRBG([]byte("codec-key")), testBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +217,7 @@ func TestBatchedVsSingleQuoteEquivalence(t *testing.T) {
 // ordinals through the pool: pooled Sign and CertifyKey must verify under
 // the same helpers the inline path satisfies, and pooled signatures are
 // deterministic for a fixed key and digest (RSASSA-PKCS1-v1_5 does not
-// depend on the rng). Keys cannot be compared across engines even with
-// equal seeds: rsa.GenerateKey's MaybeReadByte defense makes keygen
-// consume a nondeterministic number of DRBG bytes.
+// depend on the rng).
 func TestDeferredSignAndCertifyMatchInline(t *testing.T) {
 	_, cliB, _ := poolTPM(t, "defer-sig", SignPoolConfig{Workers: 1})
 	hB, pubB := loadSigningKey(t, cliB)

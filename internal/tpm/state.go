@@ -16,10 +16,6 @@ type Config struct {
 	// Seed, when non-nil, makes the instance fully deterministic. When nil
 	// the DRBG is seeded from crypto/rand.
 	Seed []byte
-	// EK optionally injects a pre-generated endorsement key, used by the
-	// vTPM manager's key pool to take RSA generation off the instance
-	// creation path (an optimization measured in experiment E3).
-	EK *rsa.PrivateKey
 	// Signer, when non-nil, offloads RSA private-key operations (Quote,
 	// Sign, CertifyKey and the 2.0 Quote twin) to a shared worker pool: the
 	// engine snapshots the to-be-signed digest under its mutex, enqueues a
@@ -27,8 +23,9 @@ type Config struct {
 	// Nil keeps the seed behavior: signatures computed inline.
 	Signer *SignPool
 	// KeyPool, when non-nil, supplies pre-generated RSA keys for the EK and
-	// the key-creation ordinals, taking multi-ms keygen off the create path.
-	// Misses fall back to the instance's own key DRBG.
+	// the key-creation ordinals, taking key generation off the create path
+	// (measured in experiment E3). Misses fall back to the instance's own
+	// key DRBG.
 	KeyPool *KeyPool
 }
 
@@ -136,7 +133,8 @@ type TPM struct {
 const lockoutThreshold = 5
 
 // New creates a powered-on but not-yet-started TPM. The endorsement key is
-// generated (or injected) here, mirroring manufacture-time EK provisioning.
+// generated (or taken from the key pool) here, mirroring manufacture-time
+// EK provisioning.
 func New(cfg Config) (*TPM, error) {
 	bits := cfg.RSABits
 	if bits == 0 {
@@ -150,9 +148,8 @@ func New(cfg Config) (*TPM, error) {
 		}
 	}
 	// Key generation draws from a forked DRBG, so however many bytes
-	// crypto/rsa.GenerateKey consumes, the nonce stream of a seeded
-	// instance stays where it was; keygenReader keeps the keys themselves
-	// reproducible.
+	// GenerateKey consumes, the nonce stream of a seeded instance stays
+	// where it was.
 	t := &TPM{
 		rng:           newDRBG(seed),
 		keyRng:        newDRBG(append(append([]byte(nil), seed...), []byte("|keygen")...)),
@@ -167,20 +164,11 @@ func New(cfg Config) (*TPM, error) {
 	}
 	t.signer = cfg.Signer
 	t.keyPool = cfg.KeyPool
-	switch {
-	case cfg.EK != nil:
-		t.ek = cfg.EK
-	default:
-		if k, ok := t.keyPool.Get(bits); ok {
-			t.ek = k
-			break
-		}
-		ek, err := rsa.GenerateKey(keygenReader{t.keyRng}, bits)
-		if err != nil {
-			return nil, fmt.Errorf("tpm: generating EK: %w", err)
-		}
-		t.ek = ek
+	ek, err := newKey(t.keyPool, t.keyRng, bits)
+	if err != nil {
+		return nil, fmt.Errorf("tpm: generating EK: %w", err)
 	}
+	t.ek = ek
 	return t, nil
 }
 
@@ -255,15 +243,6 @@ func (t *TPM) randBytes(n int) []byte {
 	b := make([]byte, n)
 	t.rng.Read(b) //nolint:errcheck // drbg.Read cannot fail
 	return b
-}
-
-// generateRSA creates an RSA key, preferring the shared pre-generation pool
-// and falling back to the instance's key-generation DRBG.
-func generateRSA(t *TPM, bits int) (*rsa.PrivateKey, error) {
-	if k, ok := t.keyPool.Get(bits); ok {
-		return k, nil
-	}
-	return rsa.GenerateKey(keygenReader{t.keyRng}, bits)
 }
 
 // forkSignRng derives an independent DRBG stream for one signing-pool job.

@@ -72,7 +72,7 @@ type session2 struct {
 
 // New2 creates a powered-on but not-yet-started TPM 2.0 engine. Config is
 // shared with the 1.2 engine: RSABits sizes the endorsement key, Seed makes
-// the instance deterministic, EK injects a pooled key.
+// the instance deterministic, KeyPool supplies a pre-generated one.
 func New2(cfg Config) (*TPM2, error) {
 	bits := cfg.RSABits
 	if bits == 0 {
@@ -94,20 +94,11 @@ func New2(cfg Config) (*TPM2, error) {
 	}
 	t.signer = cfg.Signer
 	t.keyPool = cfg.KeyPool
-	switch {
-	case cfg.EK != nil:
-		t.ek = cfg.EK
-	default:
-		if k, ok := t.keyPool.Get(bits); ok {
-			t.ek = k
-			break
-		}
-		ek, err := rsa.GenerateKey(keygenReader{t.keyRng}, bits)
-		if err != nil {
-			return nil, fmt.Errorf("tpm2: generating EK: %w", err)
-		}
-		t.ek = ek
+	ek, err := newKey(t.keyPool, t.keyRng, bits)
+	if err != nil {
+		return nil, fmt.Errorf("tpm2: generating EK: %w", err)
 	}
+	t.ek = ek
 	return t, nil
 }
 

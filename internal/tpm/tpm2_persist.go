@@ -79,6 +79,9 @@ func RestoreState2(blob []byte) (*TPM2, error) {
 		sessions:    make(map[uint32]*session2),
 		nextSession: tpm2SessionBase,
 	}
+	if !supportedKeySize(t.rsaBits) {
+		return nil, fmt.Errorf("%w: state blob sizes keys at %d bits", ErrKeySize, t.rsaBits)
+	}
 	t.started = r.U8() == 1
 	for i := range t.sha1Bank {
 		copy(t.sha1Bank[i][:], r.Raw(DigestSize))
